@@ -1,8 +1,13 @@
 """Boolean functions on {-1,1}^n with exact Walsh-Hadamard analysis.
 
-Representation: a dense table of 2^n rationals.  Index bit b of a table
-position is 1 exactly when x_{b+1} = -1; position 0 is the all-ones
-assignment.  This indexing is part of the JSON file format contract:
+Representation: a dense table of 2^n integer numerators `nums` over one
+positive denominator `den`, in lowest terms, so equal functions have
+equal (den, nums).  Every exact operation here (mean, sup norm, density
+checks, transforms, conditionals, junta tests) runs on those integers;
+`values`, the table as Fractions, is built on first use for callers that
+want rationals.  Index bit b of a table position is 1 exactly when
+x_{b+1} = -1; position 0 is the all-ones assignment.  This indexing is
+part of the JSON file format contract:
 
     {"n": 3, "values": ["1/2", "0", ...]}   # length exactly 2^n
 
@@ -10,16 +15,16 @@ Variable sets (junta supports, restriction sets) use 1-based indices to
 match the instance file formats; subset bitmasks tie variable i to bit
 i-1, consistent with the table indexing.
 
-The transform is computed by the integer butterfly on a common
-denominator, so it is exact and fast; entropy is the single deliberately
-floating-point quantity in the package.
+The transform is the integer butterfly on the numerators, so it is exact
+and fast; entropy is the single deliberately floating-point quantity in
+the package.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from collections import Counter
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import AbstractSet, Iterable, Sequence
@@ -54,60 +59,99 @@ def vars_of(mask: int) -> frozenset[int]:
 
 
 class BoolFn:
-    """Function {-1,1}^n -> Q as a dense table; immutable by convention."""
+    """Function {-1,1}^n -> Q as the table nums[i] / den; immutable by
+    convention."""
 
-    __slots__ = ("n", "values", "_coeffs", "_mean", "_sup")
+    __slots__ = ("n", "nums", "den", "_values", "_coeffs", "_mean", "_sup")
 
     def __init__(self, n: int, values: Sequence[Fraction]):
+        fracs = [v if type(v) is Fraction else Fraction(v) for v in values]
+        # over the lcm of reduced denominators the table is in lowest terms
+        den = math.lcm(*{v.denominator for v in fracs})
+        self._init(n, [v.numerator * (den // v.denominator) for v in fracs], den)
+
+    @classmethod
+    def from_ints(cls, n: int, nums: Sequence[int], den: int = 1) -> "BoolFn":
+        """The table nums[i] / den for integers nums and den != 0, reduced
+        to lowest terms (a tuple in lowest terms is kept, not copied)."""
+        if den == 0:
+            raise InputError("zero denominator")
+        if den != 1:
+            g = math.gcd(den, *nums)
+            if den < 0:
+                g = -g
+            if g != 1:
+                nums = [v // g for v in nums]
+                den //= g
+        f = object.__new__(cls)
+        f._init(n, nums, den)
+        return f
+
+    def _init(self, n: int, nums: Sequence[int], den: int) -> None:
         if n < 0:
             raise InputError("n must be nonnegative")
         if n > caps().boolfn_n:
             raise SizeCapError(f"n = {n} exceeds table cap {caps().boolfn_n}")
-        if len(values) != 1 << n:
-            raise InputError(f"table length {len(values)} != 2^{n}")
+        if len(nums) != 1 << n:
+            raise InputError(f"table length {len(nums)} != 2^{n}")
         self.n = n
-        # keep caller-interned Fraction objects to let huge tables share values
-        self.values = tuple(v if type(v) is Fraction else Fraction(v)
-                            for v in values)
+        self.nums = tuple(nums)
+        self.den = den
+        self._values = None
         self._coeffs = None
         self._mean = None
         self._sup = None
 
+    @property
+    def values(self) -> tuple[Fraction, ...]:
+        """The table as Fractions, built on first use; equal entries share
+        one object."""
+        if self._values is None:
+            shared = {v: Fraction(v, self.den) for v in set(self.nums)}
+            self._values = tuple(map(shared.__getitem__, self.nums))
+        return self._values
+
     def __eq__(self, other) -> bool:
-        return (isinstance(other, BoolFn)
-                and self.n == other.n and self.values == other.values)
+        return (isinstance(other, BoolFn) and self.n == other.n
+                and self.den == other.den and self.nums == other.nums)
 
     def __hash__(self):
-        return hash((self.n, self.values))
+        return hash((self.n, self.den, self.nums))
 
     def __repr__(self) -> str:
         return f"BoolFn(n={self.n})"
 
     def mean(self) -> Fraction:
         if self._mean is None:
-            # tables are usually interned; summing distinct values weighted
-            # by multiplicity avoids millions of gcd calls
-            counts = Counter(self.values)
-            total = sum(v * c for v, c in counts.items())
-            self._mean = Fraction(total, 1 << self.n)
+            self._mean = Fraction(sum(self.nums), self.den << self.n)
         return self._mean
 
     def sup_norm(self) -> Fraction:
         if self._sup is None:
-            self._sup = max(max(self.values), -min(self.values))
+            self._sup = Fraction(max(max(self.nums), -min(self.nums)), self.den)
         return self._sup
+
+    def scaled(self, factor: Fraction | int) -> "BoolFn":
+        """The function times a rational factor, exactly."""
+        factor = Fraction(factor)
+        if factor == 1:
+            return self
+        p = factor.numerator
+        return BoolFn.from_ints(self.n, [v * p for v in self.nums],
+                                self.den * factor.denominator)
 
     @staticmethod
     def constant(n: int, value: Fraction | int) -> "BoolFn":
-        return BoolFn(n, [Fraction(value)] * (1 << n))
+        value = Fraction(value)
+        return BoolFn.from_ints(n, [value.numerator] * (1 << n),
+                                value.denominator)
 
     @staticmethod
     def character(n: int, variables: Iterable[int]) -> "BoolFn":
         """chi_alpha(x) = prod_{i in alpha} x_i."""
         alpha = mask_of(variables, n)
-        one, minus = Fraction(1), Fraction(-1)
-        return BoolFn(n, [minus if (i & alpha).bit_count() & 1 else one
-                          for i in range(1 << n)])
+        return BoolFn.from_ints(n, [-1 if (i & alpha).bit_count() & 1 else 1
+                                    for i in range(1 << n)])
 
 
 @dataclass(frozen=True)
@@ -123,30 +167,26 @@ class FourierCoeffs:
         return max((m.bit_count() for m in self.coeffs), default=0)
 
 
-def _butterfly(vals: list[int]) -> list[int]:
-    """In-place Walsh-Hadamard butterfly on integers: output position a
-    holds sum_i vals[i] * (-1)^{popcount(i & a)}."""
-    n = len(vals)
-    h = 1
-    while h < n:
-        for start in range(0, n, 2 * h):
-            for j in range(start, start + h):
-                a = vals[j]
-                b = vals[j + h]
-                vals[j] = a + b
-                vals[j + h] = a - b
-        h *= 2
-    return vals
+def _butterfly(vals: Sequence[int]) -> list[int]:
+    """Walsh-Hadamard butterfly on integers: output position a holds
+    sum_i vals[i] * (-1)^{popcount(i & a)}.  Each pass sends the pair at
+    (2i, 2i+1) to (i, half + i) as (sum, difference), which transforms the
+    lowest index bit and rotates it to the top; after n passes every bit
+    is transformed and back in place."""
+    out = list(vals)
+    for _ in range(len(out).bit_length() - 1):
+        even, odd = out[0::2], out[1::2]
+        out = list(map(operator.add, even, odd))
+        out += map(operator.sub, even, odd)
+    return out
 
 
 def fourier_transform(f: BoolFn) -> FourierCoeffs:
     """Exact coefficients; inverse_transform is the exact inverse."""
     if f._coeffs is not None:
         return f._coeffs
-    denom = math.lcm(*(v.denominator for v in f.values)) if f.values else 1
-    ints = [v.numerator * (denom // v.denominator) for v in f.values]
-    spectrum = _butterfly(ints)
-    scale = denom << f.n
+    spectrum = _butterfly(f.nums)
+    scale = f.den << f.n
     coeffs = {a: Fraction(s, scale) for a, s in enumerate(spectrum) if s}
     result = FourierCoeffs(f.n, coeffs)
     f._coeffs = result
@@ -162,8 +202,7 @@ def inverse_transform(c: FourierCoeffs) -> BoolFn:
         if a >= 1 << c.n:
             raise InputError("coefficient mask out of range")
         dense[a] = v.numerator * (denom // v.denominator)
-    table = _butterfly(dense)
-    return BoolFn(c.n, [Fraction(t, denom) for t in table])
+    return BoolFn.from_ints(c.n, _butterfly(dense), denom)
 
 
 class Density(object):
@@ -172,7 +211,7 @@ class Density(object):
     __slots__ = ("fn", "_entropy_deficit")
 
     def __init__(self, fn: BoolFn):
-        if min(fn.values) < 0:
+        if min(fn.nums) < 0:
             raise InputError("density must be nonnegative")
         if fn.mean() != 1:
             raise InputError("density must have mean exactly 1")
@@ -194,11 +233,11 @@ def entropy_deficit(q: Density) -> float:
     if q._entropy_deficit is not None:
         return q._entropy_deficit
     n = q.n
+    scale = q.fn.den << n
     entropy = 0.0
-    for v in q.fn.values:
+    for v in q.fn.nums:
         if v:
-            p = v / (1 << n)  # Fraction
-            fp = float(p)
+            fp = v / scale  # correctly rounded, as float(Fraction(v, scale))
             entropy -= fp * math.log2(fp)
     t = n - entropy
     q._entropy_deficit = t
@@ -212,10 +251,10 @@ def conditional_density(q: Density, variables: AbstractSet[int]) -> Density:
     n = q.n
     mask = mask_of(kept, n)
     k = len(kept)
-    sums = [Fraction(0)] * (1 << k)
+    sums = [0] * (1 << k)
     bit_of = {v: j for j, v in enumerate(kept)}
     # compressed index of each table position
-    for idx, val in enumerate(q.fn.values):
+    for idx, val in enumerate(q.fn.nums):
         if not val:
             continue
         c = 0
@@ -223,8 +262,7 @@ def conditional_density(q: Density, variables: AbstractSet[int]) -> Density:
             if idx >> (v - 1) & 1:
                 c |= 1 << j
         sums[c] += val
-    block = 1 << (n - k)
-    return Density(BoolFn(k, [s / block for s in sums]))
+    return Density(BoolFn.from_ints(k, sums, q.fn.den << (n - k)))
 
 
 @dataclass(frozen=True)
@@ -290,8 +328,8 @@ def chang_junta(q: Density, t: Fraction | int, d: int,
 def is_junta(f: BoolFn, variables: AbstractSet[int]) -> bool:
     """True iff f(x) = f(y) whenever x and y agree on the given set."""
     mask = mask_of(variables, f.n)
-    seen: dict[int, Fraction] = {}
-    for idx, val in enumerate(f.values):
+    seen: dict[int, int] = {}
+    for idx, val in enumerate(f.nums):
         key = idx & mask
         prev = seen.setdefault(key, val)
         if prev != val:

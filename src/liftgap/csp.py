@@ -303,6 +303,7 @@ def parse_edge_list(text: str) -> Instance:
         raise ParseError(f"expected {m} edges, found {len(body)}",
                          body[-1][0] if body else lineno)
     edges = []
+    seen = set()  # normalized (min, max) endpoints of the edges so far
     for lineno, ln in body:
         parts = ln.split()
         if len(parts) != 2:
@@ -316,8 +317,10 @@ def parse_edge_list(text: str) -> Instance:
             raise ParseError(f"endpoint outside [1, {n}]", lineno)
         if u == v:
             raise ParseError(f"self-loop at {u}", lineno)
-        if (min(u, v), max(u, v)) in {(min(a, b), max(a, b)) for a, b in edges}:
+        key = (min(u, v), max(u, v))
+        if key in seen:
             raise ParseError(f"duplicate edge {u} {v}", lineno)
+        seen.add(key)
         edges.append((u, v))
     return graph_instance(n, edges)
 

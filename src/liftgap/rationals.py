@@ -1,6 +1,6 @@
-"""Exact rational plumbing: canonical "p/q" text form, value interning,
-and exact comparison against irrational thresholds of the form r**(1/2)
-or r**(1/4).
+"""Exact rational plumbing: canonical "p/q" text form and exact
+comparison against irrational thresholds of the form r**(1/2) or
+r**(1/4).
 
 fractions.Fraction is the rational type of the public API; values are
 always in lowest terms with positive denominator, which the text form
@@ -10,6 +10,7 @@ fourth powers so every verdict is an integer comparison.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Callable, Union
 
@@ -33,26 +34,6 @@ def parse_rational(text: str) -> Fraction:
         return Fraction(s)
     except (ValueError, ZeroDivisionError) as exc:
         raise InputError(f"bad rational {text!r}: {exc}") from None
-
-
-class FractionCache:
-    """Value-interning cache so large tables of repeating small rationals
-    share objects.  Past the size limit construction falls through
-    uncached."""
-
-    def __init__(self, limit: int = 65536):
-        self._cache: dict[tuple[int, int], Fraction] = {}
-        self._limit = limit
-
-    def get(self, numerator: int, denominator: int = 1) -> Fraction:
-        value = Fraction(numerator, denominator)
-        key = (value.numerator, value.denominator)
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
-        if len(self._cache) < self._limit:
-            self._cache[key] = value
-        return value
 
 
 class SqrtThreshold:
@@ -205,16 +186,18 @@ def _exact_root(r: Fraction, k: int) -> Fraction | None:
 
 
 def _iroot(n: int, k: int) -> int | None:
-    root = round(n ** (1.0 / k))
-    for cand in (root - 1, root, root + 1):
-        if cand >= 0 and cand ** k == n:
-            return cand
-    # float guess can be off for huge n; fall back to integer bisection
-    lo, hi = 0, 1 << ((n.bit_length() + k - 1) // k + 1)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if mid ** k < n:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo if lo ** k == n else None
+    """The integer k-th root of n >= 0 when n is a perfect k-th power, else
+    None; integer arithmetic throughout, so any size of n works."""
+    if n < 2:
+        return n
+    if k == 2:
+        root = math.isqrt(n)
+    else:
+        # Newton's step from above decreases to floor(n ** (1/k))
+        root = 1 << -(-n.bit_length() // k)
+        while True:
+            step = ((k - 1) * root + n // root ** (k - 1)) // k
+            if step >= root:
+                break
+            root = step
+    return root if root ** k == n else None

@@ -277,9 +277,7 @@ def main_inequality_experiment(rel: PolyhedralRelaxation, inst0: Instance,
                      i, rel.labels[i])
             densities.append(None)
         else:
-            scaled: dict[Fraction, Fraction] = {}
-            table = [scaled.setdefault(v, v / mean) for v in q.values]
-            densities.append(Density(BoolFn(n, table)))
+            densities.append(Density(q.scaled(1 / mean)))
 
     sup_cap = 1 << t
     smooth_ids = [i for i, dq in enumerate(densities)
@@ -364,21 +362,20 @@ def detect_symmetric_structure(f: BoolFn, d_max: int) -> SymmetricStructure:
         raise ParameterError(
             f"d_max = {d_max} refused: small symmetric families force this "
             f"shape only for d_max < n/4")
-    size = 1 << n
-    levels = [n - 2 * x.bit_count() for x in range(size)]
+    levels = [n - 2 * x.bit_count() for x in range(1 << n)]
     for k in range(d_max + 1):
         for combo in itertools.combinations(range(1, n + 1), k):
             j_mask = mask_of(combo, n) if combo else 0
-            table: dict[tuple[int, int], Fraction] = {}
+            table: dict[tuple[int, int], int] = {}
             ok = True
-            for x in range(size):
-                key = (x & j_mask, levels[x])
-                prev = table.setdefault(key, f.values[x])
-                if prev != f.values[x]:
+            for x, v in enumerate(f.nums):
+                prev = table.setdefault((x & j_mask, levels[x]), v)
+                if prev != v:
                     ok = False
                     break
             if ok:
-                return SymmetricStructure(True, frozenset(combo), table)
+                return SymmetricStructure(True, frozenset(combo), {
+                    key: Fraction(v, f.den) for key, v in table.items()})
     return SymmetricStructure(False, frozenset(), None)
 
 
@@ -390,7 +387,8 @@ def antidiagonal_restriction(q: BoolFn) -> BoolFn:
         raise InputError("antidiagonal restriction needs an even variable count")
     m = q.n // 2
     half = (1 << m) - 1
-    return BoolFn(m, [q.values[x | ((~x & half) << m)] for x in range(1 << m)])
+    return BoolFn.from_ints(
+        m, [q.nums[x | ((~x & half) << m)] for x in range(1 << m)], q.den)
 
 
 @dataclass(frozen=True)
@@ -418,24 +416,24 @@ class SymmetricCheckReport:
     consistent: bool
 
 
-def _permute_table(q: BoolFn, perm: Sequence[int]) -> tuple[Fraction, ...]:
-    """Table of x -> q(perm applied to x), perm[i] = image of variable i+1."""
-    n = q.n
+def _permutation_index(perm: Sequence[int], n: int) -> list[int]:
+    """The position each table position x reads in x -> q(perm applied to
+    x), perm[i] = image of variable i+1."""
     out = []
     for x in range(1 << n):
         y = 0
         for i in range(n):
             if x >> (perm[i] - 1) & 1:
                 y |= 1 << i
-        out.append(q.values[y])
-    return tuple(out)
+        out.append(y)
+    return out
 
 
 def verify_symmetry_closure(slacks: Sequence[BoolFn], n: int) -> tuple[int, bool]:
     """Closure of the slack family under coordinate permutations: checked
     against all n! permutations for n <= 6, otherwise against the two
     generators (the n-cycle and a transposition)."""
-    family = {q.values for q in slacks}
+    family = {(q.den, q.nums) for q in slacks}
     if n <= 6:
         perms = itertools.permutations(range(1, n + 1))
         count = math.factorial(n)
@@ -446,8 +444,9 @@ def verify_symmetry_closure(slacks: Sequence[BoolFn], n: int) -> tuple[int, bool
         count = 2
     ok = True
     for perm in perms:
+        index = _permutation_index(perm, n)
         for q in slacks:
-            if _permute_table(q, perm) not in family:
+            if (q.den, tuple(map(q.nums.__getitem__, index))) not in family:
                 ok = False
                 break
         if not ok:

@@ -29,15 +29,14 @@ from .csp import CUT_PREDICATE, Instance, evaluate, brute_force_opt, instance_po
 from .errors import (CertificationError, InputError, InternalError,
                      SizeCapError, UnboundedError)
 from .lp import farkas_feasibility, linear_program, solve_lp
-from .rationals import FractionCache, format_rational
+from .rationals import format_rational
 from .sa import sa_variable_masks
 
 log = logging.getLogger(__name__)
 
-try:
-    from gmpy2 import mpq as _mpq
-except ImportError:  # pragma: no cover
-    _mpq = Fraction
+# The number type of the slack-table arithmetic; perfbench/run.py records
+# it as this module's backend.
+_mpq = int
 
 
 class PolyhedralRelaxation:
@@ -62,6 +61,7 @@ class PolyhedralRelaxation:
         self.instance_embed = instance_embed
         self._points_ok = False
         self._sparse = None
+        self._points = None
         self._slacks = None
 
     def __repr__(self):
@@ -73,6 +73,18 @@ class PolyhedralRelaxation:
                 ([(e, a) for e, a in enumerate(coeffs) if a], rhs)
                 for coeffs, rhs in self.inequalities]
         return self._sparse
+
+    def point_columns(self) -> tuple[list[list[int]], int]:
+        """The embedded assignments as integer columns over one common
+        denominator: coordinate e of the point of assignment x is
+        cols[e][x] / den.  Cached; callers enforce the size caps."""
+        if self._points is None:
+            pts = [self.assignment_embed(x) for x in range(1 << self.n)]
+            den = math.lcm(*{v.denominator for pt in pts for v in pt})
+            cols = [[v.numerator * (den // v.denominator) for v in col]
+                    for col in zip(*pts)]
+            self._points = (cols, den)
+        return self._points
 
 
 def metric_maxcut(n: int) -> PolyhedralRelaxation:
@@ -203,10 +215,16 @@ def _validate_pairing(rel: PolyhedralRelaxation, inst: Instance,
     """<instance vector, embedded x> equals the instance value (n <= 12)."""
     if rel.n > 12:
         return
+    cols, den = rel.point_columns()
     nz = [(e, v) for e, v in enumerate(vec) if v]
-    for x in range(1 << rel.n):
-        pt = rel.assignment_embed(x)
-        if sum(v * pt[e] for e, v in nz) != evaluate(inst, x):
+    scale = math.lcm(*(v.denominator for _, v in nz))
+    # scale * den * <vec, embedded x> as integers
+    totals = [0] * (1 << rel.n)
+    for e, v in nz:
+        w = v.numerator * (scale // v.denominator)
+        totals = [t + w * c for t, c in zip(totals, cols[e])]
+    for x, total in enumerate(totals):
+        if total != evaluate(inst, x) * (scale * den):
             raise InternalError(
                 f"{rel.name}: pairing identity fails at assignment {x}")
 
@@ -237,27 +255,22 @@ def slack_functions(rel: PolyhedralRelaxation) -> tuple[BoolFn, ...]:
         return rel._slacks
     if rel.n > caps().slack_table_n:
         raise SizeCapError(f"n = {rel.n} exceeds slack table cap")
+    cols, den = rel.point_columns()
     size = 1 << rel.n
-    # column-major embedded points, in the fast inner type
-    cols: list[list] = [[] for _ in range(rel.dim)]
-    for x in range(size):
-        pt = rel.assignment_embed(x)
-        for e in range(rel.dim):
-            cols[e].append(_mpq(pt[e].numerator, pt[e].denominator))
-    cache = FractionCache()
     out = []
     for i, (row, rhs) in enumerate(rel.sparse_rows()):
-        table = [_mpq(rhs.numerator, rhs.denominator)] * size
+        # with L = scale, the row's common denominator:
+        # L * den * q_i = (L b) den - sum_e (L a_e) cols[e], all integers
+        scale = math.lcm(rhs.denominator, *(a.denominator for _, a in row))
+        table = [rhs.numerator * (scale // rhs.denominator) * den] * size
         for e, a in row:
-            am = _mpq(a.numerator, a.denominator)
-            col = cols[e]
-            table = [t - am * c for t, c in zip(table, col)]
+            a_int = a.numerator * (scale // a.denominator)
+            table = [t - a_int * c for t, c in zip(table, cols[e])]
         if min(table) < 0:
             raise InternalError(
                 f"{rel.name}: an embedded assignment violates row {i} "
                 f"({rel.labels[i]})")
-        out.append(BoolFn(rel.n, [cache.get(int(v.numerator), int(v.denominator))
-                                  for v in table]))
+        out.append(BoolFn.from_ints(rel.n, table, scale * den))
     rel._slacks = tuple(out)
     rel._points_ok = True
     return rel._slacks

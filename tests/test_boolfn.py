@@ -63,6 +63,37 @@ def test_roundtrip_and_parseval(n, data):
     assert sum(c * c for c in coeffs.coeffs.values()) == energy
 
 
+def test_fraction_and_integer_constructions_agree():
+    # 1/3 and -5/6 given as Fractions, and as unreduced integers over 36
+    fracs = BoolFn(2, [F(1, 3), F(-5, 6), F(0), F(2)])
+    ints = BoolFn.from_ints(2, [12, -30, 0, 72], 36)
+    assert (ints.nums, ints.den) == ((2, -5, 0, 12), 6)
+    assert fracs == ints and hash(fracs) == hash(ints)
+    assert fracs.values == ints.values == (F(1, 3), F(-5, 6), F(0), F(2))
+    assert fracs.mean() == ints.mean() == F(3, 8)
+    assert fracs.sup_norm() == ints.sup_norm() == 2
+    assert boolfn_to_json(fracs) == boolfn_to_json(ints)
+    assert ints == BoolFn.from_ints(2, [-2, 5, 0, -12], -6)
+    assert ints != BoolFn.from_ints(2, [2, -5, 0, 12], 5)
+    assert ints.scaled(F(3, 2)) == BoolFn(2, [F(1, 2), F(-5, 4), F(0), F(3)])
+    assert ints.scaled(1) is ints
+    zero = BoolFn.from_ints(1, [0, 0], 7)
+    assert (zero.nums, zero.den) == ((0, 0), 1) and zero == BoolFn.constant(1, 0)
+    with pytest.raises(InputError):
+        BoolFn.from_ints(1, [1, 2], 0)
+
+
+@given(st.integers(0, 6), st.integers(-10 ** 6, 10 ** 6).filter(bool), st.data())
+@settings(max_examples=40, deadline=None)
+def test_integer_tables_roundtrip(n, den, data):
+    nums = data.draw(st.lists(st.integers(-10 ** 9, 10 ** 9),
+                              min_size=1 << n, max_size=1 << n))
+    f = BoolFn.from_ints(n, nums, den)
+    assert f == BoolFn(n, [F(v, den) for v in nums])
+    assert f.values == tuple(F(v, den) for v in nums)
+    assert inverse_transform(fourier_transform(f)) == f
+
+
 def test_entropy_examples():
     n = 4
     assert entropy_deficit(Density(BoolFn.constant(n, 1))) == pytest.approx(0, abs=ENTROPY_TOLERANCE)

@@ -134,6 +134,8 @@ def test_parse_edge_list():
     ("junk", 1),
     ("2 1\n1 1", 2),          # self-loop
     ("2 2\n1 2\n2 1", 3),     # duplicate
+    ("3 3\n1 2\n2 3\n3 2", 4),            # duplicate, reversed, not adjacent
+    ("3 3\n1 2\n\n2 3\n\n1 2\n", 6),     # duplicate after blank lines
     ("2 1\n1 3", 2),          # out of range
     ("2 2\n1 2", 2),          # missing edge
 ])
@@ -141,6 +143,22 @@ def test_parse_edge_list_errors(text, line):
     with pytest.raises(ParseError) as err:
         parse_edge_list(text)
     assert err.value.line == line
+
+
+def test_parse_long_edge_list():
+    import random
+    rng = random.Random(3)
+    pairs = [(u, v) for u in range(1, 101) for v in range(u + 1, 101)]
+    edges = [(v, u) if rng.random() < 0.5 else (u, v)
+             for u, v in rng.sample(pairs, 4000)]
+    text = "100 4000\n" + "".join(f"{u} {v}\n" for u, v in edges)
+    inst = parse_edge_list(text)
+    assert inst == graph_instance(100, edges)
+    assert len(inst.constraints) == 4000
+    with pytest.raises(ParseError) as err:
+        parse_edge_list("100 4001\n" + "".join(f"{u} {v}\n" for u, v in edges)
+                        + f"{edges[0][1]} {edges[0][0]}\n")
+    assert err.value.line == 4002
 
 
 def test_edge_list_roundtrip():

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from liftgap.errors import InputError
-from liftgap.rationals import (FractionCache, QuarticThreshold, SqrtThreshold,
+from liftgap.rationals import (QuarticThreshold, SqrtThreshold,
                                best_upper_rational, format_rational,
                                gamma_below_abs, gamma_count_within,
                                parse_rational, upper_approx)
@@ -21,13 +21,6 @@ def test_format_and_parse_roundtrip():
 def test_parse_rejects(bad):
     with pytest.raises(InputError):
         parse_rational(bad)
-
-
-def test_fraction_cache_interns():
-    cache = FractionCache()
-    a = cache.get(2, 4)
-    b = cache.get(1, 2)
-    assert a is b and a == Fraction(1, 2)
 
 
 def test_sqrt_threshold_comparisons():
@@ -81,6 +74,19 @@ def test_best_upper_rational_minimality(square):
         if best is None or cand < best:
             best = cand
     assert got == best
+
+
+def test_upper_approx_radicands_beyond_float_range():
+    # radicands above ~1e308 have no float value; roots are found on integers
+    big = Fraction(10 ** 400 + 1, 3)
+    over = upper_approx(SqrtThreshold(big))
+    assert over * over > big
+    assert upper_approx(SqrtThreshold(Fraction(10 ** 400, 9))) == Fraction(10 ** 200, 3)
+    assert upper_approx(QuarticThreshold(Fraction(7 ** 600, 16))) == Fraction(7 ** 150, 2)
+    fourth = QuarticThreshold(Fraction(10 ** 400 + 1))
+    over = upper_approx(fourth)
+    assert over ** 4 > fourth.fourth_power
+    assert (over - Fraction(1, 10 ** 6)) ** 4 <= fourth.fourth_power
 
 
 def test_upper_approx_is_tightly_above():

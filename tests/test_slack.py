@@ -5,9 +5,9 @@ import pytest
 
 from liftgap.csp import (brute_force_opt, complete, cycle, evaluate,
                          graph_instance, plant, random_3sat)
-from liftgap.errors import (CertificationError, InputError, SizeCapError,
-                            UnboundedError)
-from liftgap.slack import (SlackMatrix, build_slack_matrix,
+from liftgap.errors import (CertificationError, InputError, InternalError,
+                            SizeCapError, UnboundedError)
+from liftgap.slack import (PolyhedralRelaxation, SlackMatrix, build_slack_matrix,
                            factorization_product, factorization_to_csvs,
                            farkas_decompose, lp_value,
                            metric_maxcut, protocol_factorization,
@@ -73,6 +73,47 @@ def test_slack_functions_metric3():
     perim = slacks[rel.labels.index("y(1, 2)+y(1, 3)+y(2, 3)<=2")]
     assert perim.values[0] == 2
     assert set(perim.values) == {F(0), F(2)}
+
+
+def _slacks_from_definition(rel):
+    """b_i - <A_i, embedded x>, in Fraction arithmetic, one list per row."""
+    points = [rel.assignment_embed(x) for x in range(1 << rel.n)]
+    return [[rhs - sum(a * p for a, p in zip(coeffs, pt)) for pt in points]
+            for coeffs, rhs in rel.inequalities]
+
+
+def _rescaled_metric4(point_scale):
+    """metric(4) with fractional row multiples and scaled embedded points;
+    the instance embedding is scaled inversely, keeping the pairing."""
+    base = metric_maxcut(4)
+    rows = [(tuple(a * F(i % 5 + 1, 3) for a in coeffs), rhs * F(i % 5 + 1, 3))
+            for i, (coeffs, rhs) in enumerate(base.inequalities)]
+    # y12 + y13/3 <= 4/3 mixes denominators within one row
+    rows.append(((F(1), F(1, 3)) + (F(0),) * (base.dim - 2), F(4, 3)))
+    return PolyhedralRelaxation(
+        "rescaled", 4, base.dim, rows, base.labels + ("mixed",),
+        lambda x: tuple(v * point_scale for v in base.assignment_embed(x)),
+        lambda inst: tuple(v / point_scale for v in base.instance_embed(inst)))
+
+
+def test_slack_tables_match_definition():
+    for rel in (metric_maxcut(4), universal(4, 2), _rescaled_metric4(F(1, 2))):
+        assert ([list(q.values) for q in slack_functions(rel)]
+                == _slacks_from_definition(rel))
+    # same polyhedron, objective doubled
+    assert lp_value(_rescaled_metric4(F(1, 2)), cycle(4)) == 2
+
+
+def test_embedding_checks_raise_internal_error():
+    # points scaled by 3 leave the box y <= 1
+    with pytest.raises(InternalError, match="violates row"):
+        slack_functions(_rescaled_metric4(F(3)))
+    rel = _rescaled_metric4(F(1, 2))
+    broken = PolyhedralRelaxation(
+        "broken", 4, rel.dim, rel.inequalities, rel.labels,
+        rel.assignment_embed, metric_maxcut(4).instance_embed)
+    with pytest.raises(InternalError, match="pairing identity"):
+        lp_value(broken, cycle(4))
 
 
 def test_slacks_nonnegative_metric4():
@@ -252,7 +293,6 @@ def test_universal_unbounded_is_error():
     # strip the normalization rows: the cone is unbounded in the
     # objective direction
     rel = universal(3, 2)
-    from liftgap.slack import PolyhedralRelaxation
     stripped = PolyhedralRelaxation(
         "cone", 3, rel.dim, rel.inequalities[2:], rel.labels[2:],
         rel.assignment_embed, rel.instance_embed)
