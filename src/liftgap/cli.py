@@ -65,20 +65,42 @@ def _load_instance(path: str) -> tuple[Instance, str]:
     return parse_edge_list(text), digest
 
 
+def _load_json(text: str, what: str):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise InputError(f"{what}: bad JSON: {exc}") from None
+
+
 def _relaxation(spec: str, n: int) -> tuple[PolyhedralRelaxation, dict]:
     if spec == "metric":
         return metric_maxcut(n), {}
     if spec.startswith("universal:"):
-        d = int(spec.split(":", 1)[1])
-        return universal(n, d), {}
+        level = spec.split(":", 1)[1]
+        if not level.isdecimal():
+            raise InputError(f"bad level in relaxation {spec!r}")
+        return universal(n, int(level)), {}
     if spec.startswith("file:"):
         path = spec.split(":", 1)[1]
         text, digest = _read_input(path)
-        obj = json.loads(text)
-        base, _ = _relaxation(obj["embed"], n)
-        rows = [(tuple(parse_rational(v) for v in row["coeffs"]),
-                 parse_rational(row["b"])) for row in obj["inequalities"]]
-        labels = [row.get("label", f"row{i}") for i, row in enumerate(obj["inequalities"])]
+        obj = _load_json(text, path)
+        try:
+            embed, inequalities = obj["embed"], obj["inequalities"]
+            rows = [(tuple(parse_rational(v) for v in row["coeffs"]),
+                     parse_rational(row["b"])) for row in inequalities]
+            labels = [row.get("label", f"row{i}")
+                      for i, row in enumerate(inequalities)]
+        except (KeyError, TypeError):
+            raise InputError(
+                f'{path}: expected {{"embed", "inequalities": '
+                f'[{{"coeffs", "b", "label"?}}, ...]}}') from None
+        if not isinstance(embed, str) or embed.startswith("file:"):
+            raise InputError(f"{path}: embed must be metric or universal:<d>")
+        if not all(isinstance(label, str) for label in labels):
+            raise InputError(f"{path}: labels must be strings")
+        base, _ = _relaxation(embed, n)
+        if any(len(coeffs) != base.dim for coeffs, _ in rows):
+            raise InputError(f"{path}: every row needs {base.dim} coefficients")
         rel = PolyhedralRelaxation(f"file:{path}", n, base.dim, rows, labels,
                                    base.assignment_embed, base.instance_embed)
         return rel, {path: digest}
@@ -219,7 +241,7 @@ def _cmd_farkas(args) -> None:
 
 def _cmd_restrict(args) -> None:
     text, digest = _read_input(args.family)
-    obj = json.loads(text)
+    obj = _load_json(text, args.family)
     if not isinstance(obj, list):
         raise InputError("family file must be a JSON array of functions")
     densities = [Density(boolfn_from_json(json.dumps(item))) for item in obj]

@@ -71,6 +71,12 @@ class Instance:
 CUT_PREDICATE = Predicate(2, (False, True, True, False))
 
 
+def is_maxcut(inst: Instance) -> bool:
+    """Whether every constraint of inst is a cut constraint."""
+    return all(inst.predicates[c.predicate_id] == CUT_PREDICATE
+               for c in inst.constraints)
+
+
 def _constraint_satisfied(inst: Instance, c: Constraint, x: int) -> bool:
     args = 0
     for j, v in enumerate(c.vars):

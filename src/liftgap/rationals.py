@@ -25,6 +25,8 @@ def format_rational(x: Fraction | int) -> str:
 
 def parse_rational(text: str) -> Fraction:
     """Parse 'p/q' or integer text; rejects floats and malformed input."""
+    if not isinstance(text, str):
+        raise InputError(f"expected a rational as text, got {text!r}")
     s = text.strip()
     if not s:
         raise InputError("empty rational")
@@ -98,16 +100,6 @@ def gamma_count_within(gamma: GammaLike, count: int, budget: Fraction) -> bool:
     if isinstance(gamma, SqrtThreshold):
         return count * gamma.square <= budget
     return count * gamma * gamma <= budget
-
-
-def gamma_to_float(gamma: GammaLike) -> float:
-    return float(gamma)
-
-
-def describe_gamma(gamma: GammaLike) -> str:
-    if isinstance(gamma, (SqrtThreshold, QuarticThreshold)):
-        return repr(gamma)
-    return format_rational(gamma)
 
 
 def _max_true(pred: Callable[[int], bool], cap: int | None) -> int:

@@ -123,10 +123,6 @@ def check_restriction(densities: Sequence[Density], S: AbstractSet[int],
     if len(S) != m:
         raise InputError(f"|S| = {len(S)} != m = {m}")
     gamma = restriction_gamma(n, m, d, t)
-    if isinstance(gamma, QuarticThreshold):
-        gamma_fourth = gamma.fourth_power
-    else:
-        gamma_fourth = Fraction(gamma) ** 4
     s_mask = mask_of(S, n)
     family_ok = len(densities) ** 2 <= n ** d
     sup_cap = 1 << t
@@ -154,7 +150,7 @@ def check_restriction(densities: Sequence[Density], S: AbstractSet[int],
             passed_coeff_bound=not gamma_below_abs(gamma, max_bad),
             hypothesis_error=err))
     return RestrictionReport(S=frozenset(S), n=n, m=m, d=d, t=t,
-                             gamma_fourth=gamma_fourth,
+                             gamma_fourth=gamma.fourth_power,
                              records=tuple(records), family_size_ok=family_ok)
 
 

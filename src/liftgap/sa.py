@@ -22,7 +22,7 @@ from typing import Sequence
 
 from .boolfn import BoolFn, FourierCoeffs, fourier_transform, inverse_transform
 from .caps import caps
-from .csp import Instance, MultilinearPoly, instance_polynomial
+from .csp import Instance, MultilinearPoly, instance_polynomial, is_maxcut
 from .errors import (HypothesisError, InputError, InternalError,
                      ParameterError, SizeCapError)
 from .lp import LinearProgram, linear_program, solve_lp
@@ -50,7 +50,7 @@ class PseudoExpectation:
             raise InputError("empty moment must be exactly 1")
         loc = self.locality
         for a in self.moments:
-            if a >= 1 << self.n or a.bit_count() > loc:
+            if not 0 <= a < 1 << self.n or a.bit_count() > loc:
                 raise InputError(f"moment mask {a} out of range for locality {loc}")
 
     @property
@@ -90,15 +90,21 @@ def _subsets_upto(n: int, d: int):
             yield sum(1 << i for i in combo)
 
 
-def _submasks(mask: int):
-    """All submasks of mask in increasing numeric order."""
-    bits = [1 << i for i in range(mask.bit_length()) if mask >> i & 1]
-    for pick in range(1 << len(bits)):
-        sub = 0
-        for j, b in enumerate(bits):
-            if pick >> j & 1:
-                sub |= b
-        yield sub
+def _indicators(n: int, d: int):
+    """The partial-assignment indicators of width <= d.  For every subset
+    S of [n] with |S| <= d, by (size, mask), and then every minus-pattern
+    a (the submask of S set to -1) in increasing order, yields
+    (S, a, terms), where terms lists (alpha, chi_alpha(a)) for every
+    alpha subset of S: the indicator of x_S = a is
+    2^-|S| sum_alpha chi_alpha(a) chi_alpha."""
+    for s_mask in _subsets_upto(n, d):
+        subs = [s_mask]
+        while subs[-1]:
+            subs.append((subs[-1] - 1) & s_mask)
+        for minus in reversed(subs):
+            yield s_mask, minus, [
+                (alpha, -1 if (alpha & minus).bit_count() & 1 else 1)
+                for alpha in subs]
 
 
 def sa_variable_masks(n: int, d: int) -> tuple[int, ...]:
@@ -121,21 +127,14 @@ def build_sa_lp(n: int, d: int, objective: MultilinearPoly) -> LinearProgram:
     masks = sa_variable_masks(n, d)
     index = {m: i for i, m in enumerate(masks)}
     rows = []
-    for s_mask in _subsets_upto(n, d):
+    for s_mask, _, terms in _indicators(n, d):
         if not s_mask:
             continue
-        bits = [1 << i for i in range(n) if s_mask >> i & 1]
-        for pick in range(1 << len(bits)):
-            minus = 0
-            for j, b in enumerate(bits):
-                if pick >> j & 1:
-                    minus |= b
-            coeffs = [Fraction(0)] * len(masks)
-            for alpha in _submasks(s_mask):
-                if alpha:
-                    sign = -1 if (alpha & minus).bit_count() & 1 else 1
-                    coeffs[index[alpha]] = Fraction(sign)
-            rows.append((coeffs, ">=", Fraction(-1)))
+        coeffs = [0] * len(masks)
+        for alpha, sign in terms:
+            if alpha:
+                coeffs[index[alpha]] = sign
+        rows.append((coeffs, ">=", -1))
     obj = [objective.get(m) for m in masks]
     return linear_program(len(masks), rows, obj, "maximize")
 
@@ -190,25 +189,18 @@ def check_lef(pe: PseudoExpectation) -> LefReport:
     min_ind: Fraction | None = None
     first = None
     detail = ""
-    for s_mask in _subsets_upto(n, loc):
-        bits = [1 << i for i in range(n) if s_mask >> i & 1]
-        subs = list(_submasks(s_mask))
-        for pick in range(1 << len(bits)):
-            minus = 0
-            for j, b in enumerate(bits):
-                if pick >> j & 1:
-                    minus |= b
-            val = Fraction(0)
-            for alpha in subs:
-                mv = pe.moments.get(alpha)
-                if mv:
-                    val += -mv if (alpha & minus).bit_count() & 1 else mv
-            if min_ind is None or val < min_ind:
-                min_ind = val
-            if val < 0 and first is None:
-                first = 1
-                detail = (f"indicator on mask {s_mask} with minus-pattern "
-                          f"{minus} has value {val}")
+    for s_mask, minus, terms in _indicators(n, loc):
+        val = Fraction(0)
+        for alpha, sign in terms:
+            mv = pe.moments.get(alpha)
+            if mv:
+                val += sign * mv
+        if min_ind is None or val < min_ind:
+            min_ind = val
+        if val < 0 and first is None:
+            first = 1
+            detail = (f"indicator on mask {s_mask} with minus-pattern "
+                      f"{minus} has value {val}")
     max_abs = max((abs(v) for v in pe.moments.values()), default=Fraction(0))
     if first is None and max_abs > 1:
         first = 2
@@ -314,20 +306,24 @@ def _metric_facets(n: int) -> list[tuple[str, dict[Monomial, Fraction]]]:
     return facets
 
 
+def _indicator_poly(t_vars: Sequence[Pair],
+                    pattern: int) -> dict[Monomial, Fraction]:
+    """The indicator that edge variable t_vars[j] equals bit j of
+    pattern, as a polynomial."""
+    one = Fraction(1)
+    poly: dict[Monomial, Fraction] = {(): one}
+    for j, e in enumerate(t_vars):
+        factor = {(e,): one} if pattern >> j & 1 else {(): one, (e,): -one}
+        poly = _poly_mul(poly, factor)
+    return poly
+
+
 def _indicator_polys(pairs: Sequence[Pair], r: int):
     """Indicator juntas on at most r edge variables, as polynomials."""
-    one = Fraction(1)
     for size in range(r + 1):
         for t_vars in itertools.combinations(pairs, size):
             for pattern in range(1 << size):
-                poly: dict[Monomial, Fraction] = {(): one}
-                for j, e in enumerate(t_vars):
-                    if pattern >> j & 1:
-                        factor = {(e,): one}
-                    else:
-                        factor = {(): one, (e,): -one}
-                    poly = _poly_mul(poly, factor)
-                yield (t_vars, pattern, poly)
+                yield (t_vars, pattern, _indicator_poly(t_vars, pattern))
 
 
 def edge_constraint_polys(n: int, r: int):
@@ -365,7 +361,8 @@ def build_edge_sa_lp(n: int, r: int, inst: Instance) -> LinearProgram:
     if r < 0 or n < 3:
         raise ParameterError("need r >= 0 and n >= 3")
     _check_edge_caps(n, r)
-    _require_maxcut(inst)
+    if not is_maxcut(inst):
+        raise InputError("operation requires a Max Cut instance")
     if inst.n != n:
         raise InputError(f"instance has {inst.n} vertices, relaxation has {n}")
     monos = edge_monomials(n, r)
@@ -393,13 +390,6 @@ def build_edge_sa_lp(n: int, r: int, inst: Instance) -> LinearProgram:
     return linear_program(len(monos), rows, obj, "maximize")
 
 
-def _require_maxcut(inst: Instance) -> None:
-    from .csp import CUT_PREDICATE
-    if any(inst.predicates[c.predicate_id] != CUT_PREDICATE
-           for c in inst.constraints):
-        raise InputError("operation requires a Max Cut instance")
-
-
 def edge_sa_solve(inst: Instance, r: int) -> tuple[Fraction, EdgeFunctional]:
     lp = build_edge_sa_lp(inst.n, r, inst)
     sol = solve_lp(lp)
@@ -410,10 +400,6 @@ def edge_sa_solve(inst: Instance, r: int) -> tuple[Fraction, EdgeFunctional]:
     for m, v in zip(monos, sol.point):
         moments[m] = v
     return sol.value, EdgeFunctional(inst.n, r, moments)
-
-
-def edge_sa_value(inst: Instance, r: int) -> Fraction:
-    return edge_sa_solve(inst, r)[0]
 
 
 @dataclass(frozen=True)
@@ -532,11 +518,7 @@ def _verify_objective_identity(ef: EdgeFunctional, pe: PseudoExpectation) -> Non
                 f"objective identity fails at pair {(i, j)}: "
                 f"discrepancy {total}; the input functional is not at level >= 2")
         for pattern in range(8):
-            indicator: dict[Monomial, Fraction] = {(): one}
-            for bit, e in enumerate((e1i, e1j, eij)):
-                factor = {(e,): one} if pattern >> bit & 1 else \
-                    {(): one, (e,): -one}
-                indicator = _poly_mul(indicator, factor)
+            indicator = _indicator_poly((e1i, e1j, eij), pattern)
             a = pattern & 1
             b = pattern >> 1 & 1
             cval = pattern >> 2 & 1
@@ -561,18 +543,31 @@ def pe_to_json(pe: PseudoExpectation) -> str:
     return json.dumps({"n": pe.n, "d": pe.d, "moments": moments}, sort_keys=True)
 
 
-def pe_from_json(text: str) -> PseudoExpectation:
+def _functional_fields(text: str, level: str) -> tuple[int, int, dict]:
+    """(n, level, moments) of a functional JSON document."""
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError(f"bad JSON: {exc}") from None
     try:
-        n, d, raw = obj["n"], obj["d"], obj["moments"]
+        n, lvl, raw = obj["n"], obj[level], obj["moments"]
     except (TypeError, KeyError):
-        raise InputError('expected {"n", "d", "moments"}') from None
+        raise InputError(f'expected {{"n", "{level}", "moments"}}') from None
+    if not all(type(v) is int and v >= 0 for v in (n, lvl)):
+        raise InputError(f'"n" and "{level}" must be nonnegative integers')
+    if not isinstance(raw, dict):
+        raise InputError('"moments" must be a JSON object')
+    return n, lvl, raw
+
+
+def pe_from_json(text: str) -> PseudoExpectation:
+    n, d, raw = _functional_fields(text, "d")
     if raw.get("0") != "1":
         raise InputError('moments must contain "0": "1"')
-    moments = {int(k): parse_rational(v) for k, v in raw.items()}
+    try:
+        moments = {int(k): parse_rational(v) for k, v in raw.items()}
+    except ValueError:
+        raise InputError("moment keys must be decimal subset bitmasks") from None
     return PseudoExpectation(n, d, moments)
 
 
@@ -586,7 +581,7 @@ def _parse_mono(key: str) -> Monomial:
     out = []
     for part in key.split(","):
         i, sep, j = part.partition("-")
-        if not sep:
+        if not (sep and i.isdecimal() and j.isdecimal()):
             raise InputError(f"bad edge key {part!r}")
         out.append((int(i), int(j)))
     return tuple(sorted(out))
@@ -598,13 +593,6 @@ def edge_functional_to_json(ef: EdgeFunctional) -> str:
 
 
 def edge_functional_from_json(text: str) -> EdgeFunctional:
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"bad JSON: {exc}") from None
-    try:
-        n, r, raw = obj["n"], obj["r"], obj["moments"]
-    except (TypeError, KeyError):
-        raise InputError('expected {"n", "r", "moments"}') from None
+    n, r, raw = _functional_fields(text, "r")
     moments = {_parse_mono(k): parse_rational(v) for k, v in raw.items()}
     return EdgeFunctional(n, r, moments)

@@ -25,12 +25,13 @@ from typing import Callable, Sequence
 
 from .boolfn import BoolFn
 from .caps import caps
-from .csp import CUT_PREDICATE, Instance, evaluate, brute_force_opt, instance_polynomial
+from .csp import (Instance, brute_force_opt, evaluate, instance_polynomial,
+                  is_maxcut)
 from .errors import (CertificationError, InputError, InternalError,
                      SizeCapError, UnboundedError)
 from .lp import farkas_feasibility, linear_program, solve_lp
 from .rationals import format_rational
-from .sa import sa_variable_masks
+from .sa import _indicators, sa_variable_masks
 
 log = logging.getLogger(__name__)
 
@@ -126,8 +127,7 @@ def metric_maxcut(n: int) -> PolyhedralRelaxation:
     def embed_instance(inst: Instance) -> tuple[Fraction, ...]:
         if inst.n != n:
             raise InputError(f"instance on {inst.n} vars, relaxation on {n}")
-        if any(inst.predicates[c.predicate_id] != CUT_PREDICATE
-               for c in inst.constraints):
+        if not is_maxcut(inst):
             raise InputError("metric relaxation embeds Max Cut instances only")
         vec = [zero] * dim
         w = Fraction(1, len(inst.constraints))
@@ -162,23 +162,15 @@ def universal(n: int, d: int) -> PolyhedralRelaxation:
     e0[0] = -one
     rows.append((tuple(e0), -one))
     labels.append("y0>=1")
-    for s_mask in _subsets_by_size(n, d):
-        bits = [1 << i for i in range(n) if s_mask >> i & 1]
-        for pick in range(1 << len(bits)):
-            minus = 0
-            for jj, b in enumerate(bits):
-                if pick >> jj & 1:
-                    minus |= b
-            coeffs = list(empty)
-            sub = s_mask
-            while True:
-                sign = -one if (sub & minus).bit_count() & 1 else one
-                coeffs[index[sub]] = -sign
-                if sub == 0:
-                    break
-                sub = (sub - 1) & s_mask
-            rows.append((tuple(coeffs), zero))
-            labels.append(f"ind(S={s_mask},a={minus})")
+    # the indicator of x_S = a, scaled by 2^|S|, is >= 0: as a <= row,
+    # sum_alpha -chi_alpha(a) y_alpha <= 0
+    negated = {1: -one, -1: one}
+    for s_mask, minus, terms in _indicators(n, d):
+        coeffs = list(empty)
+        for alpha, sign in terms:
+            coeffs[index[alpha]] = negated[sign]
+        rows.append((tuple(coeffs), zero))
+        labels.append(f"ind(S={s_mask},a={minus})")
 
     def embed_assignment(x: int) -> tuple[Fraction, ...]:
         return tuple(-one if (m & x).bit_count() & 1 else one for m in masks)
@@ -194,12 +186,6 @@ def universal(n: int, d: int) -> PolyhedralRelaxation:
 
     return PolyhedralRelaxation(f"universal({n},{d})", n, dim, rows, labels,
                                 embed_assignment, embed_instance)
-
-
-def _subsets_by_size(n: int, d: int):
-    for size in range(d + 1):
-        for combo in itertools.combinations(range(n), size):
-            yield sum(1 << i for i in combo)
 
 
 def _validate_points(rel: PolyhedralRelaxation) -> None:
@@ -369,18 +355,40 @@ def build_slack_matrix(instances: Sequence[Instance], assignments: Sequence[int]
     return SlackMatrix(n, tuple(instances), tuple(assignments), c, s, entries)
 
 
-def _require_maxcut_rows(sm: SlackMatrix) -> None:
+def _check_protocol(sm: SlackMatrix, T: int) -> None:
+    if T < 1:
+        raise InputError("need T >= 1")
+    if not all(is_maxcut(inst) for inst in sm.rows):
+        raise InputError("protocol rows must be Max Cut instances")
+
+
+def _receiver_output(c: Fraction, theta: Fraction) -> Fraction:
+    """What the receiver outputs on seeing cut fraction theta."""
+    return c - theta if theta <= c else Fraction(0)
+
+
+def _expected_over_samples(sm: SlackMatrix, T: int,
+                           payoff: Callable[[Fraction], Fraction | int],
+                           ) -> tuple[tuple[Fraction, ...], ...]:
+    """E[payoff(theta)] entrywise, exactly, where theta is the fraction of
+    T edges drawn uniformly from the row graph that the column assignment
+    cuts: theta = k/T with probability C(T,k) p^k (1-p)^(T-k), p the
+    cut fraction."""
+    _check_protocol(sm, T)
+    out = []
     for inst in sm.rows:
-        if any(inst.predicates[cc.predicate_id] != CUT_PREDICATE
-               for cc in inst.constraints):
-            raise InputError("protocol rows must be Max Cut instances")
-
-
-def _binomial_terms(p: Fraction, T: int):
-    """(k, C(T,k) p^k (1-p)^(T-k)) for k = 0..T, exactly."""
-    q = 1 - p
-    for k in range(T + 1):
-        yield k, math.comb(T, k) * p ** k * q ** (T - k)
+        row = []
+        for x in sm.cols:
+            p = evaluate(inst, x)
+            q = 1 - p
+            total = Fraction(0)
+            for k in range(T + 1):
+                v = payoff(Fraction(k, T))
+                if v:
+                    total += v * math.comb(T, k) * p ** k * q ** (T - k)
+            row.append(total)
+        out.append(tuple(row))
+    return tuple(out)
 
 
 def protocol_matrix(sm: SlackMatrix, T: int) -> tuple[tuple[Fraction, ...], ...]:
@@ -388,42 +396,14 @@ def protocol_matrix(sm: SlackMatrix, T: int) -> tuple[tuple[Fraction, ...], ...]
     of the row graph uniformly at random; the receiver computes the
     fraction theta of drawn edges its assignment cuts and outputs
     c - theta if theta <= c, else 0.  Entrywise >= the slack matrix."""
-    if T < 1:
-        raise InputError("need T >= 1")
-    _require_maxcut_rows(sm)
-    out = []
-    for inst in sm.rows:
-        row = []
-        for x in sm.cols:
-            p = evaluate(inst, x)
-            total = Fraction(0)
-            for k, w in _binomial_terms(p, T):
-                theta = Fraction(k, T)
-                if theta <= sm.c:
-                    total += (sm.c - theta) * w
-            row.append(total)
-        out.append(tuple(row))
-    return tuple(out)
+    return _expected_over_samples(
+        sm, T, lambda theta: _receiver_output(sm.c, theta))
 
 
 def protocol_tail_probabilities(sm: SlackMatrix, T: int) -> tuple[tuple[Fraction, ...], ...]:
     """Pr[theta > c] entrywise, exactly; bounds the entrywise excess of
     the protocol matrix over the slack matrix."""
-    if T < 1:
-        raise InputError("need T >= 1")
-    _require_maxcut_rows(sm)
-    out = []
-    for inst in sm.rows:
-        row = []
-        for x in sm.cols:
-            p = evaluate(inst, x)
-            total = Fraction(0)
-            for k, w in _binomial_terms(p, T):
-                if Fraction(k, T) > sm.c:
-                    total += w
-            row.append(total)
-        out.append(tuple(row))
-    return tuple(out)
+    return _expected_over_samples(sm, T, lambda theta: int(theta > sm.c))
 
 
 @dataclass(frozen=True)
@@ -438,9 +418,7 @@ class ProtocolFactorization:
 
 
 def protocol_factorization(sm: SlackMatrix, T: int) -> ProtocolFactorization:
-    if T < 1:
-        raise InputError("need T >= 1")
-    _require_maxcut_rows(sm)
+    _check_protocol(sm, T)
     edge_sets = []
     universe = set()
     for inst in sm.rows:
@@ -464,8 +442,7 @@ def protocol_factorization(sm: SlackMatrix, T: int) -> ProtocolFactorization:
         for x in sm.cols:
             cut = sum(1 for i, j in msg
                       if ((x >> (i - 1)) ^ (x >> (j - 1))) & 1)
-            theta = Fraction(cut, T)
-            row.append(sm.c - theta if theta <= sm.c else Fraction(0))
+            row.append(_receiver_output(sm.c, Fraction(cut, T)))
         V.append(tuple(row))
     return ProtocolFactorization(T, messages, tuple(U), tuple(V))
 

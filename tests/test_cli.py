@@ -212,3 +212,61 @@ def test_missing_file_is_domain_error(capsys):
     code, _, err = _run(capsys, "opt", "/nonexistent/file.graph")
     assert code == 1
     assert json.loads(err)["error"] == "InputError"
+
+
+def _assert_input_error(code, out, err):
+    assert code == 1 and out == ""
+    assert "\n" not in err.strip()
+    assert json.loads(err)["error"] == "InputError"
+
+
+def test_file_relaxation_matches_metric(capsys, tmp_path, triangle_file):
+    from liftgap.slack import metric_maxcut
+    rel = metric_maxcut(3)
+    path = tmp_path / "rel.json"
+    path.write_text(json.dumps({"embed": "metric", "inequalities": [
+        {"coeffs": [str(a) for a in coeffs], "b": str(b)}
+        for coeffs, b in rel.inequalities]}))
+    code, out, _ = _run(capsys, "lp", triangle_file,
+                        "--relaxation", f"file:{path}")
+    assert code == 0 and json.loads(out)["value"] == "2/3"
+
+
+@pytest.mark.parametrize("spec, content", [
+    ("universal:abc", None),
+    ("file", "not json"),
+    ("file", '{"embed": "metric"}'),
+    ("file", '{"embed": "file:SELF", "inequalities": []}'),
+    ("file", '{"embed": "metric", "inequalities": '
+             '[{"coeffs": ["1", "0", "0"], "b": "1", "label": 7}]}'),
+], ids=["bad-level", "not-json", "no-inequalities", "file-embed",
+        "int-label"])
+def test_malformed_relaxation_is_input_error(capsys, tmp_path, triangle_file,
+                                             spec, content):
+    if content is not None:
+        path = tmp_path / "rel.json"
+        path.write_text(content.replace("SELF", str(path)))
+        spec = f"file:{path}"
+    _assert_input_error(*_run(capsys, "lp", triangle_file,
+                              "--relaxation", spec))
+
+
+@pytest.mark.parametrize("direction, doc", [
+    ("v2e", {"n": 3, "d": 6, "moments": ["1"]}),
+    ("v2e", {"n": 3, "d": 6, "moments": {"0": "1", "x": "0"}}),
+    ("e2v", {"n": 3, "r": 2, "moments": ["1"]}),
+    ("e2v", {"n": 3, "r": 2, "moments": {"": "1", "a-b": "0"}}),
+], ids=["v2e-list", "v2e-key", "e2v-list", "e2v-key"])
+def test_malformed_functional_is_input_error(capsys, tmp_path, direction, doc):
+    path = tmp_path / "functional.json"
+    path.write_text(json.dumps(doc))
+    _assert_input_error(*_run(capsys, "translate", "--direction", direction,
+                              "--in", str(path)))
+
+
+def test_malformed_family_is_input_error(capsys, tmp_path):
+    path = tmp_path / "family.json"
+    path.write_text("[{")
+    _assert_input_error(*_run(capsys, "restrict", "--family", str(path),
+                              "--n", "12", "--m", "3", "--d", "2",
+                              "--seed", "1"))

@@ -18,6 +18,7 @@ from liftgap.restriction import (antidiagonal_restriction, check_restriction,
                                  sample_restriction, smoothness_exponent,
                                  symmetric_contradiction_check,
                                  symmetric_report_to_json, trial_seed)
+from liftgap.rationals import QuarticThreshold
 from liftgap.sa import pe_apply, sa_value
 from liftgap.slack import metric_maxcut, universal
 
@@ -116,7 +117,7 @@ def test_find_good_restriction_exhaustion(monkeypatch):
     # junta bound; the error carries the best report seen
     import liftgap.restriction as restriction_module
     monkeypatch.setattr(restriction_module, "restriction_gamma",
-                        lambda n, m, d, t: F(1, 100))
+                        lambda n, m, d, t: QuarticThreshold(F(1, 100) ** 4))
     n = 16
     # every singleton coefficient is 1/32 > 1/100, and all 16 singletons
     # are independent: the extracted junta meets every sample
