@@ -1,11 +1,20 @@
 """Exact rational linear programming.
 
 Two-phase revised simplex with Bland's pivot rule over exact rationals,
-so every solve terminates and returns bit-reproducible answers.  LPs with
-many more constraints than variables are solved through their explicit
-dual, and the primal optimum is recovered exactly from the dual
-multipliers; both paths return identical contracts and every returned
-solution is re-verified against the input before it leaves this module.
+so every solve terminates and returns bit-reproducible answers.  Both
+public contracts share one primal adapter and one verifier:
+
+* solve_lp maximizes (a "minimize" LP is solved with its objective
+  negated).  LPs with many more constraints than variables are solved
+  through their explicit dual instead, and the primal optimum is
+  recovered exactly from the dual multipliers.
+* farkas_feasibility is the primal adapter on "=" rows with a zero
+  objective, the variables flagged x >= 0 left unsplit.
+
+The verifier re-checks every returned solution against the input.
+Optimal: primal feasibility (x >= 0 on flagged variables included),
+objective value, dual signs, dual feasibility and strong duality.
+Infeasible: certificate signs, combination and normalization.
 
 Internally the hot loops run on gmpy2.mpq when available (a pure speed
 matter; results are exact either way) and all public values are
@@ -22,7 +31,8 @@ Conventions
   flip.
 * Infeasible solutions carry a Farkas certificate with the same sign
   convention as the "maximize" duals and
-  sum_i mult_i * coeffs_i == 0,  sum_i mult_i * rhs_i == -1.
+  sum_i mult_i * coeffs_i == 0,  sum_i mult_i * rhs_i == -1
+  (farkas_feasibility: >= 0 instead of == 0 on the flagged variables).
 """
 
 from __future__ import annotations
@@ -30,7 +40,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import AbstractSet, Iterable, Sequence
 
 from .caps import caps
 from .errors import InputError, InternalError, SizeCapError
@@ -316,20 +326,40 @@ def _to_fraction(x) -> Fraction:
     return Fraction(x.numerator, x.denominator)
 
 
-def _solve_max_primal(lp: LinearProgram) -> LPSolution:
-    """Direct path: split free variables, one slack/surplus per row."""
+def _fold(owners, vec, size: int) -> list[Fraction]:
+    """Sum a core vector back onto the variables or constraints that own
+    its entries: owners[j] = (index, +1 / -1) for core entry j.  Entries
+    past the end of owners (slack columns) are dropped."""
+    out = [Fraction(0)] * size
+    for (i, s), v in zip(owners, vec):
+        if v:
+            out[i] += s * _to_fraction(v)
+    return out
+
+
+def _solve_max_primal(lp: LinearProgram,
+                      nonneg: frozenset[int] = frozenset()) -> LPSolution:
+    """Direct path: one core column per variable, plus its negation for
+    variables outside nonneg (free variables are split), then one
+    slack/surplus per inequality row."""
     n = lp.num_vars
-    m = len(lp.constraints)
+    entries = [[] for _ in range(n)]
+    for r, c in enumerate(lp.constraints):
+        for j, a in enumerate(c.coeffs):
+            if a:
+                entries[j].append((r, _to_inner(a)))
     columns = []
     costs = []
-    for j in range(n):
-        col = [(r, _to_inner(c.coeffs[j]))
-               for r, c in enumerate(lp.constraints) if c.coeffs[j]]
-        cneg = [(r, -v) for r, v in col]
+    owners = []  # (var, +1 / -1) per structural core column
+    for j, col in enumerate(entries):
+        obj = _to_inner(lp.objective[j])
         columns.append(col)
-        costs.append(-_to_inner(lp.objective[j]))
-        columns.append(cneg)
-        costs.append(_to_inner(lp.objective[j]))
+        costs.append(-obj)
+        owners.append((j, 1))
+        if j not in nonneg:
+            columns.append([(r, -v) for r, v in col])
+            costs.append(obj)
+            owners.append((j, -1))
     zero = _inner_q(0)
     one = _inner_q(1)
     for r, c in enumerate(lp.constraints):
@@ -346,12 +376,12 @@ def _solve_max_primal(lp: LinearProgram) -> LPSolution:
         return LPSolution(UNBOUNDED)
     if res.status == INFEASIBLE:
         y = res.certificate
-        yb = sum((yr * br for yr, br in zip(y, b) if yr), _inner_q(0))
+        yb = sum((yr * br for yr, br in zip(y, b) if yr), zero)
         if yb <= 0:
             raise InternalError("bad infeasibility certificate")
         mult = [_to_fraction(-yr / yb) for yr in y]
         return LPSolution(INFEASIBLE, dual_certificate=tuple(mult))
-    point = tuple(_to_fraction(res.x[2 * j] - res.x[2 * j + 1]) for j in range(n))
+    point = tuple(_fold(owners, res.x, n))
     value = -_to_fraction(res.value)
     duals = tuple(_to_fraction(-yr) for yr in res.duals)
     return LPSolution(OPTIMAL, value=value, point=point, dual_certificate=duals)
@@ -362,6 +392,7 @@ def _solve_max_dual(lp: LinearProgram) -> LPSolution | None:
     row per variable.  Returns None when the dual is infeasible (primal
     unbounded or infeasible); caller falls back to the direct path."""
     n = lp.num_vars
+    m = len(lp.constraints)
     columns = []
     costs = []
     col_row_sign = []  # (constraint index, +1 / -1) per core column
@@ -381,11 +412,7 @@ def _solve_max_dual(lp: LinearProgram) -> LPSolution | None:
     if res.status == INFEASIBLE:
         return None
     if res.status == UNBOUNDED:
-        mult = [Fraction(0)] * len(lp.constraints)
-        for j, rv in enumerate(res.ray):
-            if rv:
-                i, s = col_row_sign[j]
-                mult[i] += s * _to_fraction(rv)
+        mult = _fold(col_row_sign, res.ray, m)
         scale = -sum(m_i * c.rhs for m_i, c in zip(mult, lp.constraints))
         if scale <= 0:
             raise InternalError("bad dual ray")
@@ -393,16 +420,36 @@ def _solve_max_dual(lp: LinearProgram) -> LPSolution | None:
         return LPSolution(INFEASIBLE, dual_certificate=tuple(mult))
     point = tuple(_to_fraction(v) for v in res.duals)
     value = _to_fraction(res.value)
-    mult = [Fraction(0)] * len(lp.constraints)
-    for j, xv in enumerate(res.x):
-        if xv:
-            i, s = col_row_sign[j]
-            mult[i] += s * _to_fraction(xv)
     return LPSolution(OPTIMAL, value=value, point=point,
-                      dual_certificate=tuple(mult))
+                      dual_certificate=tuple(_fold(col_row_sign, res.x, m)))
 
 
-def _check_optimal(lp: LinearProgram, sol: LPSolution) -> None:
+def _combination(lp: LinearProgram, mult: Sequence[Fraction]) -> list[Fraction]:
+    """mult . A, in one pass over the nonzero entries of the rows."""
+    acc = [Fraction(0)] * lp.num_vars
+    for m_i, c in zip(mult, lp.constraints):
+        if m_i:
+            for j, a in enumerate(c.coeffs):
+                if a:
+                    acc[j] += m_i * a
+    return acc
+
+
+def _check_signs(lp: LinearProgram, mult: Sequence[Fraction], pos: str,
+                 what: str) -> None:
+    """mult >= 0 on pos rows, <= 0 on the other inequality rows."""
+    neg = GREATER_EQ if pos == LESS_EQ else LESS_EQ
+    for i, (m_i, c) in enumerate(zip(mult, lp.constraints)):
+        if (c.relation == pos and m_i < 0) or (c.relation == neg and m_i > 0):
+            raise InternalError(f"{what} sign at row {i}")
+
+
+def _check_optimal(lp: LinearProgram, sol: LPSolution,
+                   nonneg: AbstractSet[int] = frozenset()) -> None:
+    """Primal feasibility (x >= 0 on nonneg), the objective value, dual
+    signs, dual feasibility (equality of mult . A with the objective on
+    free variables, the right inequality on nonneg ones) and strong
+    duality, all exact."""
     x = sol.point
     for i, c in enumerate(lp.constraints):
         lhs = sum(a * v for a, v in zip(c.coeffs, x) if a)
@@ -411,39 +458,45 @@ def _check_optimal(lp: LinearProgram, sol: LPSolution) -> None:
               else lhs == c.rhs)
         if not ok:
             raise InternalError(f"solution violates constraint {i}")
+    for j in nonneg:
+        if x[j] < 0:
+            raise InternalError(f"negative nonneg variable {j}")
     if sum(o * v for o, v in zip(lp.objective, x) if o) != sol.value:
         raise InternalError("objective mismatch")
     mult = sol.dual_certificate
-    pos, neg = (LESS_EQ, GREATER_EQ) if lp.sense == "maximize" else (GREATER_EQ, LESS_EQ)
-    for i, c in enumerate(lp.constraints):
-        if c.relation == pos and mult[i] < 0:
-            raise InternalError(f"dual sign at row {i}")
-        if c.relation == neg and mult[i] > 0:
-            raise InternalError(f"dual sign at row {i}")
-    for j in range(lp.num_vars):
-        if sum(mult[i] * c.coeffs[j] for i, c in enumerate(lp.constraints)
-               if c.coeffs[j]) != lp.objective[j]:
+    maximize = lp.sense == "maximize"
+    _check_signs(lp, mult, LESS_EQ if maximize else GREATER_EQ, "dual")
+    for j, (v, o) in enumerate(zip(_combination(lp, mult), lp.objective)):
+        gap = v - o if maximize else o - v
+        if gap < 0 or (gap and j not in nonneg):
             raise InternalError(f"dual combination mismatch at var {j}")
-    if sum(mult[i] * c.rhs for i, c in enumerate(lp.constraints)) != sol.value:
+    if sum(m_i * c.rhs for m_i, c in zip(mult, lp.constraints)) != sol.value:
         raise InternalError("strong duality mismatch")
 
 
-def _check_infeasible(lp: LinearProgram, sol: LPSolution) -> None:
+def _check_infeasible(lp: LinearProgram, sol: LPSolution,
+                      nonneg: AbstractSet[int] = frozenset()) -> None:
+    """The certificate's signs, mult . A == 0 on free variables and >= 0
+    on nonneg ones, and mult . b == -1, all exact."""
     mult = sol.dual_certificate
-    for i, c in enumerate(lp.constraints):
-        if c.relation == LESS_EQ and mult[i] < 0:
-            raise InternalError(f"certificate sign at row {i}")
-        if c.relation == GREATER_EQ and mult[i] > 0:
-            raise InternalError(f"certificate sign at row {i}")
-    for j in range(lp.num_vars):
-        if sum(mult[i] * c.coeffs[j] for i, c in enumerate(lp.constraints)
-               if c.coeffs[j]) != 0:
-            raise InternalError(f"certificate combination nonzero at var {j}")
-    if sum(mult[i] * c.rhs for i, c in enumerate(lp.constraints)) != -1:
+    _check_signs(lp, mult, LESS_EQ, "certificate")
+    for j, v in enumerate(_combination(lp, mult)):
+        if v < 0 or (v and j not in nonneg):
+            raise InternalError(f"certificate combination wrong at var {j}")
+    if sum(m_i * c.rhs for m_i, c in zip(mult, lp.constraints)) != -1:
         raise InternalError("certificate not normalized")
 
 
-def solve_lp(lp: LinearProgram, *, max_nonzeros: int | None = None) -> LPSolution:
+def _checked(lp: LinearProgram, sol: LPSolution,
+             nonneg: AbstractSet[int] = frozenset()) -> LPSolution:
+    if sol.status == OPTIMAL:
+        _check_optimal(lp, sol, nonneg)
+    elif sol.status == INFEASIBLE:
+        _check_infeasible(lp, sol, nonneg)
+    return sol
+
+
+def solve_lp(lp: LinearProgram) -> LPSolution:
     """Solve exactly.  Optimal points satisfy every constraint with exact
     rational arithmetic; infeasible outcomes carry an exact Farkas
     certificate.  Deterministic: identical inputs give identical outputs.
@@ -457,97 +510,47 @@ def solve_lp(lp: LinearProgram, *, max_nonzeros: int | None = None) -> LPSolutio
             raise InputError(f"constraint {i} has wrong width")
         if c.relation not in _RELATIONS:
             raise InputError(f"constraint {i}: bad relation {c.relation!r}")
-    limit = max_nonzeros if max_nonzeros is not None else caps().lp_nonzeros
+    limit = caps().lp_nonzeros
     nnz = lp_nonzeros(lp)
     if nnz > limit:
         raise SizeCapError(f"LP has {nnz} nonzeros, cap is {limit}")
 
-    if lp.sense == "minimize":
-        flipped = LinearProgram(lp.num_vars, lp.constraints,
-                                tuple(-v for v in lp.objective), "maximize")
-        sol = solve_lp(flipped, max_nonzeros=limit)
-        if sol.status == OPTIMAL:
-            sol = LPSolution(OPTIMAL, value=-sol.value, point=sol.point,
-                             dual_certificate=tuple(-m for m in sol.dual_certificate))
-            _check_optimal(lp, sol)
-        return sol
-
+    minimize = lp.sense == "minimize"
+    work = (LinearProgram(lp.num_vars, lp.constraints,
+                          tuple(-v for v in lp.objective), "maximize")
+            if minimize else lp)
     wide = len(lp.constraints) >= 3 * max(lp.num_vars, 1)
-    sol = _solve_max_dual(lp) if wide else None
+    sol = _solve_max_dual(work) if wide else None
     if sol is None:
-        sol = _solve_max_primal(lp)
-    if sol.status == OPTIMAL:
-        _check_optimal(lp, sol)
-    elif sol.status == INFEASIBLE:
-        _check_infeasible(lp, sol)
-    return sol
+        sol = _solve_max_primal(work)
+    if minimize and sol.status == OPTIMAL:
+        sol = LPSolution(OPTIMAL, value=-sol.value, point=sol.point,
+                         dual_certificate=tuple(-m for m in sol.dual_certificate))
+    return _checked(lp, sol)
 
 
 def farkas_feasibility(equalities: Sequence[tuple[Sequence, object]],
-                       nonneg: Iterable[int] | None = None,
-                       num_vars: int | None = None) -> LPSolution:
+                       nonneg: Iterable[int] | None = None) -> LPSolution:
     """Exact feasibility for  A.x = b  with x >= 0 on the flagged
     variables (all of them by default) and free otherwise.
 
-    Optimal: point is an exact solution (value 0).  Infeasible: the
-    certificate y (one entry per equality) satisfies, exactly,
-    (y.A)_j >= 0 for flagged j, (y.A)_j == 0 for free j, and y.b == -1.
+    solve_lp's primal adapter and verifier on the "=" rows with a zero
+    objective.  Optimal: point is an exact solution (value 0, all duals 0),
+    checked row by row and for x >= 0 on the flagged variables.
+    Infeasible: the certificate y (one entry per equality) is checked to
+    satisfy, exactly, (y.A)_j >= 0 for flagged j, (y.A)_j == 0 for free j,
+    and y.b == -1.
     """
-    rows = [(tuple(Fraction(v) for v in coeffs), Fraction(rhs))
-            for coeffs, rhs in equalities]
-    if not rows and num_vars is None:
-        raise InputError("empty system with unknown variable count")
-    n = num_vars if num_vars is not None else len(rows[0][0])
-    for i, (coeffs, _) in enumerate(rows):
-        if len(coeffs) != n:
-            raise InputError(f"equality {i} has wrong width")
-    flagged = set(range(n)) if nonneg is None else set(nonneg)
+    rows = list(equalities)
+    if not rows:
+        raise InputError("empty system")
+    n = len(rows[0][0])
+    lp = linear_program(n, [(coeffs, EQUAL, rhs) for coeffs, rhs in rows],
+                        (0,) * n)
+    flagged = frozenset(range(n)) if nonneg is None else frozenset(nonneg)
     if not flagged <= set(range(n)):
         raise InputError("nonneg set out of range")
-
-    columns = []
-    costs = []
-    var_cols = []  # (var, +1/-1) per core column
-    zero = _inner_q(0)
-    for j in range(n):
-        col = [(r, _to_inner(coeffs[j])) for r, (coeffs, _) in enumerate(rows)
-               if coeffs[j]]
-        columns.append(col)
-        costs.append(zero)
-        var_cols.append((j, 1))
-        if j not in flagged:
-            columns.append([(r, -v) for r, v in col])
-            costs.append(zero)
-            var_cols.append((j, -1))
-    b = [_to_inner(rhs) for _, rhs in rows]
-    res = _solve_standard(columns, b, costs)
-    if res.status == INFEASIBLE:
-        y = res.certificate
-        yb = sum(_to_fraction(yr) * rhs for yr, (_, rhs) in zip(y, rows))
-        if yb <= 0:
-            raise InternalError("bad Farkas certificate")
-        cert = tuple(_to_fraction(yr) / -yb for yr in y)
-        for j in range(n):
-            dot = sum(cert[r] * rows[r][0][j] for r in range(len(rows))
-                      if rows[r][0][j])
-            if j in flagged:
-                if dot < 0:
-                    raise InternalError("certificate sign on flagged variable")
-            elif dot != 0:
-                raise InternalError("certificate nonzero on free variable")
-        return LPSolution(INFEASIBLE, dual_certificate=cert)
-    if res.status != OPTIMAL:
-        raise InternalError("feasibility core neither optimal nor infeasible")
-    point = [Fraction(0)] * n
-    for col_idx, xv in enumerate(res.x):
-        if xv:
-            j, s = var_cols[col_idx]
-            point[j] += s * _to_fraction(xv)
-    for r, (coeffs, rhs) in enumerate(rows):
-        if sum(a * v for a, v in zip(coeffs, point) if a) != rhs:
-            raise InternalError(f"solution violates equality {r}")
-    for j in flagged:
-        if point[j] < 0:
-            raise InternalError("negative flagged variable")
-    return LPSolution(OPTIMAL, value=Fraction(0), point=tuple(point),
-                      dual_certificate=tuple(Fraction(0) for _ in rows))
+    sol = _solve_max_primal(lp, flagged)
+    if sol.status == UNBOUNDED:  # cannot happen: the objective is zero
+        raise InternalError("feasibility core reported unbounded")
+    return _checked(lp, sol, flagged)

@@ -56,8 +56,7 @@ class SqrtThreshold:
 
 
 class QuarticThreshold:
-    """The nonnegative real fourth_power**(1/4), for a rational radicand.
-    Its square is an exact SqrtThreshold."""
+    """The nonnegative real fourth_power**(1/4), for a rational radicand."""
 
     __slots__ = ("fourth_power",)
 
@@ -65,9 +64,6 @@ class QuarticThreshold:
         if fourth_power < 0:
             raise InputError("negative radicand")
         self.fourth_power = Fraction(fourth_power)
-
-    def squared(self) -> SqrtThreshold:
-        return SqrtThreshold(self.fourth_power)
 
     def __float__(self) -> float:
         return float(self.fourth_power) ** 0.25

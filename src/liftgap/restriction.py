@@ -25,7 +25,7 @@ import json
 import logging
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import AbstractSet, Sequence
 
@@ -114,6 +114,17 @@ class RestrictionReport:
         return sum(1 for r in self.records if r.passed)
 
 
+def _stray_coeffs(q: Density, S: AbstractSet[int], J: AbstractSet[int],
+                  d: int) -> list[tuple[int, Fraction]]:
+    """The Fourier coefficients of q on the sets alpha inside S, not
+    inside J, with |alpha| <= d: what the junta J misses within S."""
+    s_mask = mask_of(S, q.n)
+    j_mask = mask_of(J, q.n) if J else 0
+    return [(alpha, v) for alpha, v in fourier_transform(q.fn).coeffs.items()
+            if alpha & ~s_mask == 0 and alpha & ~j_mask
+            and alpha.bit_count() <= d]
+
+
 def check_restriction(densities: Sequence[Density], S: AbstractSet[int],
                       d: int, t: int, m: int, n: int) -> RestrictionReport:
     """Grade one sampled subset against every density.  Hypothesis
@@ -123,7 +134,6 @@ def check_restriction(densities: Sequence[Density], S: AbstractSet[int],
     if len(S) != m:
         raise InputError(f"|S| = {len(S)} != m = {m}")
     gamma = restriction_gamma(n, m, d, t)
-    s_mask = mask_of(S, n)
     family_ok = len(densities) ** 2 <= n ** d
     sup_cap = 1 << t
     records = []
@@ -138,12 +148,8 @@ def check_restriction(densities: Sequence[Density], S: AbstractSet[int],
             err = (f"{len(cert.violations)} independent large coefficients "
                    f"exceed the 2t/gamma^2 budget")
         junta = frozenset(cert.junta) & frozenset(S)
-        j_mask = mask_of(junta, n) if junta else 0
-        max_bad = Fraction(0)
-        for alpha, v in fourier_transform(q.fn).coeffs.items():
-            if alpha and alpha & ~s_mask == 0 and alpha & ~j_mask != 0 \
-                    and alpha.bit_count() <= d and abs(v) > max_bad:
-                max_bad = abs(v)
+        max_bad = max((abs(v) for _, v in _stray_coeffs(q, S, junta, d)),
+                      default=Fraction(0))
         records.append(RestrictionRecord(
             density_id=i, junta=junta, max_bad_coeff=max_bad,
             passed_junta_bound=len(junta) <= d,
@@ -162,11 +168,8 @@ def find_good_restriction(densities: Sequence[Density], n: int, m: int,
     best: RestrictionReport | None = None
     for trial in range(max_trials):
         S = sample_restriction(n, m, trial_seed(seed, trial))
-        report = check_restriction(densities, S, d, t, m, n)
-        report = RestrictionReport(
-            S=report.S, n=n, m=m, d=d, t=t, gamma_fourth=report.gamma_fourth,
-            records=report.records, family_size_ok=report.family_size_ok,
-            trials_used=trial + 1)
+        report = replace(check_restriction(densities, S, d, t, m, n),
+                         trials_used=trial + 1)
         if report.all_passed:
             return report.S, report
         if best is None or report.passed_count() > best.passed_count():
@@ -291,17 +294,13 @@ def main_inequality_experiment(rel: PolyhedralRelaxation, inst0: Instance,
 
     gamma = restriction_gamma(n, m, d, t)
     mc = math.comb(m, d)
-    s_mask = mask_of(S, n)
     terms = []
     for rec, i in zip(rep.records, smooth_ids):
-        j_mask = mask_of(rec.junta, n) if rec.junta else 0
         pe_err = Fraction(0)
-        for alpha, v in fourier_transform(smooth[rec.density_id].fn).coeffs.items():
-            if alpha and alpha & ~s_mask == 0 and alpha & ~j_mask != 0 \
-                    and alpha.bit_count() <= d:
-                mv = pe_planted.moments.get(alpha)
-                if mv:
-                    pe_err += v * mv
+        for alpha, v in _stray_coeffs(smooth[rec.density_id], S, rec.junta, d):
+            mv = pe_planted.moments.get(alpha)
+            if mv:
+                pe_err += v * mv
         cap = mc * rec.max_bad_coeff
         terms.append(SlackErrorTerm(
             index=i, label=rel.labels[i], pe_of_error=pe_err, coeff_cap=cap,

@@ -433,7 +433,7 @@ def _cut_poly(i: int, j: int) -> dict[int, Fraction]:
     return {0: Fraction(1, 2), pair: Fraction(-1, 2)}
 
 
-def vertex_to_edge(pe: PseudoExpectation, verify: bool = True) -> EdgeFunctional:
+def vertex_to_edge(pe: PseudoExpectation) -> EdgeFunctional:
     """Push a locality-k functional (k even, k >= 6) through the cut map
     x -> y with y_{i,j} = (1 - x_i x_j)/2, landing at edge level
     r = k/2 - 2.  Every pair moment equals the image of the cut
@@ -459,14 +459,13 @@ def vertex_to_edge(pe: PseudoExpectation, verify: bool = True) -> EdgeFunctional
             poly = nxt
         moments[mono] = pe_apply(pe, MultilinearPoly(n, poly))
     ef = EdgeFunctional(n, r, moments)
-    if verify:
-        report = check_edge_functional(ef)
-        if not report.ok:
-            raise InternalError(f"translated functional infeasible: {report.detail}")
+    report = check_edge_functional(ef)
+    if not report.ok:
+        raise InternalError(f"translated functional infeasible: {report.detail}")
     return ef
 
 
-def edge_to_vertex(ef: EdgeFunctional, verify: bool = True) -> PseudoExpectation:
+def edge_to_vertex(ef: EdgeFunctional) -> PseudoExpectation:
     """Pull a level-r edge functional back to vertex variables through
     x_i = 1 - 2 y_{1,i} (vertex 1 anchors the bipartition), landing at
     locality r.
@@ -489,14 +488,13 @@ def edge_to_vertex(ef: EdgeFunctional, verify: bool = True) -> PseudoExpectation
             total += Fraction(-2) ** len(chosen) * ef.moment(mono)
         moments[a] = total
     pe = PseudoExpectation(n, r, moments)
-    if verify:
-        if r >= 2:
-            _verify_objective_identity(ef, pe)
-        report = check_lef(pe)
-        if not report.ok:
-            raise HypothesisError(
-                f"translated functional fails property {report.failed_property}: "
-                f"{report.detail}; input edge functional was not feasible")
+    if r >= 2:
+        _verify_objective_identity(ef, pe)
+    report = check_lef(pe)
+    if not report.ok:
+        raise HypothesisError(
+            f"translated functional fails property {report.failed_property}: "
+            f"{report.detail}; input edge functional was not feasible")
     return pe
 
 

@@ -60,7 +60,6 @@ class PolyhedralRelaxation:
         self.labels = tuple(labels)
         self.assignment_embed = assignment_embed
         self.instance_embed = instance_embed
-        self._points_ok = False
         self._sparse = None
         self._points = None
         self._slacks = None
@@ -191,9 +190,8 @@ def universal(n: int, d: int) -> PolyhedralRelaxation:
 def _validate_points(rel: PolyhedralRelaxation) -> None:
     """Every embedded assignment lies in the polyhedron (n <= 12); the
     check is the nonnegativity of all slack tables."""
-    if rel._points_ok or rel.n > 12:
-        return
-    slack_functions(rel)
+    if rel.n <= 12:
+        slack_functions(rel)
 
 
 def _validate_pairing(rel: PolyhedralRelaxation, inst: Instance,
@@ -258,7 +256,6 @@ def slack_functions(rel: PolyhedralRelaxation) -> tuple[BoolFn, ...]:
                 f"({rel.labels[i]})")
         out.append(BoolFn.from_ints(rel.n, table, scale * den))
     rel._slacks = tuple(out)
-    rel._points_ok = True
     return rel._slacks
 
 

@@ -136,6 +136,7 @@ def test_criterion_6_translations():
 
             edge_value, ef2 = edge_sa_solve(inst, 2)
             pe2 = edge_to_vertex(ef2)          # verifies the identity
+            assert pe2.d == 2
             assert check_lef(pe2).ok
             assert pe_apply(pe2, instance_polynomial(inst)) == edge_value
 

@@ -26,6 +26,7 @@ from fractions import Fraction as F
 import pytest
 
 from liftgap.cli import main
+from liftgap.lp import farkas_feasibility, linear_program, solve_lp
 from liftgap.csp import (complete, cycle, graph_instance, instance_polynomial,
                          random_3sat, write_edge_list)
 from liftgap.sa import (EdgeFunctional, PseudoExpectation, build_sa_lp,
@@ -144,6 +145,29 @@ OUTPUTS = {
          "--s", "4/5", "--T", "2", "--out-prefix", "out"],
         {"k4.graph": write_edge_list(complete(4)),
          "k4e.graph": write_edge_list(_K4_MINUS_EDGE)}, _PROTOCOL_FILES),
+    "cli farkas K4 metric c=2/3": lambda: _cli(
+        ["farkas", "k4.graph", "--c", "2/3", "--relaxation", "metric"],
+        {"k4.graph": write_edge_list(complete(4))}),
+    "cli farkas K4 metric c=1/2": lambda: _cli(
+        ["farkas", "k4.graph", "--c", "1/2", "--relaxation", "metric"],
+        {"k4.graph": write_edge_list(complete(4))}),
+    "cli farkas C4 universal:2 c=9/10": lambda: _cli(
+        ["farkas", "c4.graph", "--c", "9/10", "--relaxation", "universal:2"],
+        {"c4.graph": write_edge_list(cycle(4))}),
+    "cli farkas K4 universal:2 c=3/5": lambda: _cli(
+        ["farkas", "k4.graph", "--c", "3/5", "--relaxation", "universal:2"],
+        {"k4.graph": write_edge_list(complete(4))}),
+    "cli sa-edge C4 level 1": lambda: _cli(
+        ["sa-edge", "c4.graph", "--level", "1"],
+        {"c4.graph": write_edge_list(cycle(4))}),
+    "solve_lp(minimize)": lambda: repr(solve_lp(linear_program(
+        2, [((1, 1), ">=", 3), ((1, 0), "<=", 2)], (1, 2), "minimize"))),
+    "solve_lp(contradictory bounds)": lambda: repr(solve_lp(linear_program(
+        1, [((1,), "<=", -1), ((1,), ">=", 0)], (1,)))),
+    "farkas_feasibility(x=-1, x>=0)": lambda: repr(
+        farkas_feasibility([((1,), -1)])),
+    "farkas_feasibility(x+y=-2, y>=0)": lambda: repr(
+        farkas_feasibility([((1, 1), -2)], nonneg={1})),
     "cli protocol C4,K4-e T=2": lambda: _cli(
         ["protocol", "--rows", "c4.graph,k4e.graph", "--c", "11/10",
          "--s", "1", "--T", "2", "--out-prefix", "out"],
@@ -157,15 +181,24 @@ GOLDEN = {
     'check_lef(failing)': 'e84d2c3df2ac8f7c0dbfd7d0f0a9575df8b6ce203be3d177ffcd2fdee6c428c0',
     'check_lef(sa 3sat(4,6,seed=2),3)': 'e2af55c1ae2bc7d5fade81facfa8c818fc8fb7573193da5068f47bde0a756425',
     'check_lef(sa C5,2)': 'cbdd3593b4cb3bd4a57648e8bd9a54d30318fd0325b520bef9a1c3693a4a09a1',
+    'cli farkas C4 universal:2 c=9/10': 'f585bc0a0fec2aae552d592db229fe28f1b85bb1564e739b48cab2f77bc8e29f',
+    'cli farkas K4 metric c=1/2': '61314111fa8cbbff9b1b3932fe31da4c2286d578410994f3f1cf6efbb67d7f17',
+    'cli farkas K4 metric c=2/3': 'a474110bbffefc8c2659e8ae07b533da6b48a009167edea9fcb77b222af50a06',
+    'cli farkas K4 universal:2 c=3/5': 'd9bd6f360854a79a84e092ac6cf2e78f1113e1aa5e9c9308da913a3cadbd2c92',
     'cli protocol C4,K4-e T=2': '86a338db15a15e9c3011e68952faadc3bab5f876325c064e86952cc07a3dbc14',
     'cli protocol K4,K4-e T=2': '89de0c53796f6504f45ec6abf3abed4ae4336f4f97a09d692ed3eae6f60135b3',
+    'cli sa-edge C4 level 1': 'b24993bc47a1ed87c1a7730cee237ab892563687e3f3cb09456bd0abfc88dfc4',
     'cli slack metric n=4': '022e4bb510f3bdbf53997cdf553dab88f8fb474e0aa6c8086fab7ebb37674782',
     'cli slack universal:2 n=4': '4c4dd64533f2e9bd2148acbfb239d935e9a95eac1476d870a88bf323b04a068a',
     'edge_to_vertex(cut mixture n=4,r=2)': '0ffa87111c6d7611ada5581d51ec0a15946a77f97b10e46ef9bacef853981584',
+    'farkas_feasibility(x+y=-2, y>=0)': 'ae8591b4bcfe745af5f878c1d5e97c30c3bee0141a8f935fc2cc48cd43cd74a3',
+    'farkas_feasibility(x=-1, x>=0)': '15a9fa9e607637c95c2089f89335b9d54736ecc2d6c82e22f8670b5aebc4df69',
     'pe_to_json(sa 3sat(4,6,seed=2),3)': 'a5a3aa3194aa4165556f0344f814dc3c7419924b268bced28b50c345e2e783dc',
     'pe_to_json(sa C3,2)': '8baec360f5e621c9bb61704f54da7a9e9436632b8161d18e598d0c0f3ae45ffe',
     'pe_to_json(sa C5,3)': '30f3b75caf8442708355737646981594e10f0f510f2f4b7cfaacd0fb04df935c',
     'protocol_tail_probabilities(K4,K4-e,T=3)': '6938bd612ebcc5279852a45c0100a05a7f0f8718fe1ff3d7b4471745dd3e423c',
+    'solve_lp(contradictory bounds)': 'ecf97d0a618fbff043a2c4f8d5a3afe122f76cb92b8872b4da7f1f18f53817c6',
+    'solve_lp(minimize)': '2ea5176509409c2a495d38c1c32ad3d6455b8201bc176574e774f8f15e1f9285',
     'universal(12,2)': 'd14076cfc3a7a3de35633962832ec0192e3efa6851bc164e32d1454beeb9e177',
     'universal(3,2)': '9898a0adf6e8b9994a4a4093d80f3f57d8a5cba2dc88e6338396bc7f9b5d1c29',
     'universal(6,2)': '94a2cb829a0302aad87ac980c2fc3bd65b9e72059041cc9eb94da4e33399a396',

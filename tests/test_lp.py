@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from liftgap.errors import InputError, SizeCapError
-from liftgap.lp import (INFEASIBLE, OPTIMAL, UNBOUNDED, farkas_feasibility,
+from liftgap.errors import InputError, InternalError, SizeCapError
+from liftgap.lp import (INFEASIBLE, OPTIMAL, UNBOUNDED, LPSolution,
+                        _check_infeasible, _check_optimal, farkas_feasibility,
                         linear_program, solve_lp)
 
 F = Fraction
@@ -104,10 +105,11 @@ def test_dimension_mismatch_rejected():
         linear_program(1, [((1,), "<<", 0)], (1,))
 
 
-def test_size_cap():
+def test_size_cap(monkeypatch):
     lp = linear_program(2, [((1, 1), "<=", 1)] * 3, (1, 1))
+    monkeypatch.setenv("LIFTGAP_SIZE_CAPS", "lp_nonzeros=5")
     with pytest.raises(SizeCapError):
-        solve_lp(lp, max_nonzeros=5)
+        solve_lp(lp)
 
 
 def test_farkas_feasibility_examples():
@@ -117,6 +119,8 @@ def test_farkas_feasibility_examples():
     assert sol.status == INFEASIBLE
     y = sol.dual_certificate
     assert y[0] * 1 >= 0 and y[0] * F(-1) == -1
+    with pytest.raises(InputError):
+        farkas_feasibility([])
 
 
 def test_farkas_free_variables():
@@ -135,6 +139,87 @@ def test_wide_lp_uses_same_contract():
     sol = solve_lp(lp)
     assert sol.status == OPTIMAL
     assert sol.value == F(3, 7)
+
+
+# --- the verifier rejects corrupted solutions -----------------------------
+
+
+def _assert_rejected(message, check, lp, sol, *args):
+    with pytest.raises(InternalError, match=message):
+        check(lp, sol, *args)
+
+
+def test_check_optimal_rejects_corruptions():
+    # max x + 2y  s.t.  x + y <= 3,  x >= 0,  y = 1
+    lp = linear_program(2, [((1, 1), "<=", 3), ((1, 0), ">=", 0),
+                            ((0, 1), "=", 1)], (1, 2))
+    sol = solve_lp(lp)
+    assert sol == LPSolution(OPTIMAL, F(4), (F(2), F(1)), (F(1), F(0), F(1)))
+    _check_optimal(lp, sol)
+    _assert_rejected("violates constraint 0", _check_optimal, lp, LPSolution(
+        OPTIMAL, F(5), (F(3), F(1)), sol.dual_certificate))
+    _assert_rejected("dual sign at row 1", _check_optimal, lp, LPSolution(
+        OPTIMAL, F(4), sol.point, (F(1), F(1), F(1))))
+    _assert_rejected("dual combination mismatch at var 1", _check_optimal,
+                     lp, LPSolution(OPTIMAL, F(4), sol.point,
+                                    (F(1), F(0), F(2))))
+    # (1, 1) is feasible with objective 3, but the duals certify 4
+    _assert_rejected("strong duality", _check_optimal, lp, LPSolution(
+        OPTIMAL, F(3), (F(1), F(1)), sol.dual_certificate))
+
+
+def test_check_optimal_rejects_negative_nonneg_variable():
+    # x + y = 0 with y >= 0: (1, -1) satisfies the row but not y >= 0
+    lp = linear_program(2, [((1, 1), "=", 0)], (0, 0))
+    bad = LPSolution(OPTIMAL, F(0), (F(1), F(-1)), (F(0),))
+    _check_optimal(lp, bad)
+    _assert_rejected("negative nonneg variable 1", _check_optimal, lp, bad,
+                     {1})
+
+
+def test_check_infeasible_rejects_corruptions():
+    # x = -1 with x >= 0: y = 1 has y.A = 1 >= 0 and y.b = -1
+    lp = linear_program(1, [((1,), "=", -1)], (0,))
+    good = LPSolution(INFEASIBLE, dual_certificate=(F(1),))
+    _check_infeasible(lp, good, {0})
+    # nonzero on a free variable
+    _assert_rejected("combination wrong at var 0", _check_infeasible, lp,
+                     good)
+    # negative on a flagged variable: x = 1, y = -1
+    _assert_rejected("combination wrong at var 0", _check_infeasible,
+                     linear_program(1, [((1,), "=", 1)], (0,)),
+                     LPSolution(INFEASIBLE, dual_certificate=(F(-1),)), {0})
+    _assert_rejected("not normalized", _check_infeasible, lp,
+                     LPSolution(INFEASIBLE, dual_certificate=(F(2),)), {0})
+    # a wrong sign on an inequality row
+    lp_le = linear_program(1, [((1,), "<=", -1), ((1,), ">=", 0)], (1,))
+    cert = solve_lp(lp_le).dual_certificate
+    assert cert == (F(1), F(-1))
+    _assert_rejected("certificate sign at row 0", _check_infeasible, lp_le,
+                     LPSolution(INFEASIBLE, dual_certificate=(F(-1), F(1))))
+
+
+@st.composite
+def _equality_systems(draw):
+    n = draw(st.integers(1, 3))
+    rows = draw(st.lists(
+        st.tuples(st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+                  st.integers(-4, 4)),
+        min_size=1, max_size=4))
+    flagged = draw(st.sets(st.integers(0, n - 1)))
+    return n, rows, flagged
+
+
+@given(_equality_systems())
+@settings(max_examples=120, deadline=None)
+def test_farkas_status_matches_solve_lp(data):
+    n, rows, flagged = data
+    sol = farkas_feasibility(rows, nonneg=flagged)
+    bounds = [(tuple(int(k == j) for k in range(n)), ">=", 0)
+              for j in sorted(flagged)]
+    lp = linear_program(n, [(cs, "=", b) for cs, b in rows] + bounds,
+                        (0,) * n)
+    assert sol.status == solve_lp(lp).status
 
 
 # --- independent oracle: exhaustive vertex enumeration --------------------

@@ -37,7 +37,6 @@ def test_quartic_threshold_comparisons():
     gamma = QuarticThreshold(Fraction(4))  # 4^(1/4) = sqrt(2)
     assert gamma_below_abs(gamma, Fraction(3, 2))
     assert not gamma_below_abs(gamma, Fraction(7, 5))
-    assert gamma.squared().square == Fraction(4)
     assert gamma_count_within(gamma, 3, Fraction(6))
     assert not gamma_count_within(gamma, 4, Fraction(6))
 
