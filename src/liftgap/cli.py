@@ -5,7 +5,7 @@ and canonical "p/q" rationals, and embeds a run manifest (command,
 parameters, master seed, sha256 digests of file inputs, tool version,
 outputs list), so identical manifests give byte-identical outputs.
 Errors are single-line JSON on stderr: exit 1 for domain errors, 2 for
-usage errors.
+usage errors, 3 for an InternalError (a failed exact self-check: a bug).
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from .boolfn import Density, boolfn_from_json
 from .csp import (Instance, assignment_to_signs, brute_force_opt, complete,
                   cycle, parse_dimacs_cnf, parse_edge_list, random_3sat,
                   random_graph, write_dimacs, write_edge_list)
-from .errors import InputError, LiftgapError
+from .errors import InputError, InternalError, LiftgapError
 from .rationals import format_rational, parse_rational
 from .restriction import (find_good_restriction,
                           main_inequality_experiment, main_report_to_json,
@@ -86,8 +86,8 @@ def _relaxation(spec: str, n: int) -> tuple[PolyhedralRelaxation, dict]:
         obj = _load_json(text, path)
         try:
             embed, inequalities = obj["embed"], obj["inequalities"]
-            rows = [(tuple(parse_rational(v) for v in row["coeffs"]),
-                     parse_rational(row["b"])) for row in inequalities]
+            rows = [(row["coeffs"], parse_rational(row["b"]))
+                    for row in inequalities]
             labels = [row.get("label", f"row{i}")
                       for i, row in enumerate(inequalities)]
         except (KeyError, TypeError):
@@ -98,9 +98,13 @@ def _relaxation(spec: str, n: int) -> tuple[PolyhedralRelaxation, dict]:
             raise InputError(f"{path}: embed must be metric or universal:<d>")
         if not all(isinstance(label, str) for label in labels):
             raise InputError(f"{path}: labels must be strings")
+        if not all(isinstance(coeffs, list) for coeffs, _ in rows):
+            raise InputError(f'{path}: "coeffs" must be a JSON array')
         base, _ = _relaxation(embed, n)
         if any(len(coeffs) != base.dim for coeffs, _ in rows):
             raise InputError(f"{path}: every row needs {base.dim} coefficients")
+        rows = [({e: a for e, a in enumerate(map(parse_rational, coeffs))
+                  if a}, b) for coeffs, b in rows]
         rel = PolyhedralRelaxation(f"file:{path}", n, base.dim, rows, labels,
                                    base.assignment_embed, base.instance_embed)
         return rel, {path: digest}
@@ -443,7 +447,7 @@ def main(argv: list[str] | None = None) -> int:
     except LiftgapError as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
               file=sys.stderr)
-        return 1
+        return 3 if isinstance(exc, InternalError) else 1
     except BrokenPipeError:
         return 0
     return 0

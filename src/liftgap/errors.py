@@ -1,7 +1,8 @@
 """Exception hierarchy shared by all modules.
 
-Every domain failure raises a subclass of LiftgapError so the CLI can map
-it to exit code 1; anything else is a bug.
+Every failure raises a subclass of LiftgapError, so the CLI can map a
+domain error to exit code 1 and an InternalError (a failed exact
+self-check, which is a bug) to exit code 3.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Exact rational linear programming.
+"""Exact rational linear programming over sparse rows.
 
 Two-phase revised simplex with Bland's pivot rule over exact rationals,
 so every solve terminates and returns bit-reproducible answers.  Both
@@ -22,8 +22,12 @@ fractions.Fraction.
 
 Conventions
 -----------
-* A constraint is (coeffs, relation, rhs) with relation one of
-  "<=", "=", ">=".  Constraint indices are stable identifiers.
+* A constraint is ({variable: coeff}, relation, rhs) with relation one
+  of "<=", "=", ">=", stored as its nonzero terms sorted by variable
+  (LinearConstraint.coeffs is a dense view for callers outside liftgap).
+  Constraint indices are stable identifiers.
+* LinearProgram checks its shape when built: sense, objective length,
+  relations and every variable in range.
 * Optimal solutions carry dual multipliers, one per constraint:
   for sense "maximize", multiplier >= 0 on "<=" rows, <= 0 on ">=" rows,
   free on "=" rows, with  sum_i mult_i * coeffs_i == objective  and
@@ -40,7 +44,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import AbstractSet, Iterable, Sequence
+from typing import AbstractSet, Iterable, Mapping, Sequence
 
 from .caps import caps
 from .errors import InputError, InternalError, SizeCapError
@@ -64,9 +68,20 @@ UNBOUNDED = "unbounded"
 
 @dataclass(frozen=True)
 class LinearConstraint:
-    coeffs: tuple[Fraction, ...]
+    """sum_j a_j x_j <relation> rhs over width variables; terms holds the
+    nonzero (j, a_j), sorted by j."""
+    terms: tuple[tuple[int, Fraction], ...]
     relation: str
     rhs: Fraction
+    width: int
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The dense row, rebuilt on each read."""
+        row = [Fraction(0)] * self.width
+        for j, a in self.terms:
+            row[j] = a
+        return tuple(row)
 
 
 @dataclass(frozen=True)
@@ -75,6 +90,23 @@ class LinearProgram:
     constraints: tuple[LinearConstraint, ...]
     objective: tuple[Fraction, ...]
     sense: str = "maximize"
+
+    def __post_init__(self):
+        n = self.num_vars
+        if n < 0:
+            raise InputError("num_vars must be nonnegative")
+        if self.sense not in ("maximize", "minimize"):
+            raise InputError(f"bad sense {self.sense!r}")
+        if len(self.objective) != n:
+            raise InputError(
+                f"objective length {len(self.objective)} != num_vars {n}")
+        for idx, c in enumerate(self.constraints):
+            if c.relation not in _RELATIONS:
+                raise InputError(f"constraint {idx}: bad relation {c.relation!r}")
+            if c.width != n or not all(type(j) is int and 0 <= j < n
+                                       for j, _ in c.terms):
+                raise InputError(
+                    f"constraint {idx}: variables must be integers in [0, {n})")
 
 
 @dataclass(frozen=True)
@@ -86,31 +118,24 @@ class LPSolution:
 
 
 def linear_program(num_vars: int,
-                   constraints: Iterable[tuple[Sequence, str, object]],
+                   constraints: Iterable[tuple[Mapping, str, object]],
                    objective: Sequence,
                    sense: str = "maximize") -> LinearProgram:
-    """Validating constructor; coefficients are coerced to Fraction."""
-    if num_vars < 0:
-        raise InputError("num_vars must be nonnegative")
-    if sense not in ("maximize", "minimize"):
-        raise InputError(f"bad sense {sense!r}")
-    obj = tuple(Fraction(v) for v in objective)
-    if len(obj) != num_vars:
-        raise InputError(f"objective length {len(obj)} != num_vars {num_vars}")
+    """Constructor from {variable: coeff} rows; coefficients are coerced
+    to Fraction and zeros dropped.  LinearProgram validates the shape."""
     rows = []
-    for idx, (coeffs, relation, rhs) in enumerate(constraints):
-        if relation not in _RELATIONS:
-            raise InputError(f"constraint {idx}: bad relation {relation!r}")
-        row = tuple(Fraction(v) for v in coeffs)
-        if len(row) != num_vars:
-            raise InputError(
-                f"constraint {idx}: {len(row)} coefficients, expected {num_vars}")
-        rows.append(LinearConstraint(row, relation, Fraction(rhs)))
-    return LinearProgram(num_vars, tuple(rows), obj, sense)
+    for coeffs, relation, rhs in constraints:
+        # a non-integer variable sorts first, for LinearProgram to reject
+        terms = sorted(((j, Fraction(v)) for j, v in coeffs.items()),
+                       key=lambda t: t[0] if type(t[0]) is int else -1)
+        rows.append(LinearConstraint(tuple(t for t in terms if t[1]),
+                                     relation, Fraction(rhs), num_vars))
+    return LinearProgram(num_vars, tuple(rows),
+                         tuple(Fraction(v) for v in objective), sense)
 
 
 def lp_nonzeros(lp: LinearProgram) -> int:
-    return sum(1 for c in lp.constraints for v in c.coeffs if v)
+    return sum(len(c.terms) for c in lp.constraints)
 
 
 # ---------------------------------------------------------------------------
@@ -345,9 +370,8 @@ def _solve_max_primal(lp: LinearProgram,
     n = lp.num_vars
     entries = [[] for _ in range(n)]
     for r, c in enumerate(lp.constraints):
-        for j, a in enumerate(c.coeffs):
-            if a:
-                entries[j].append((r, _to_inner(a)))
+        for j, a in c.terms:
+            entries[j].append((r, _to_inner(a)))
     columns = []
     costs = []
     owners = []  # (var, +1 / -1) per structural core column
@@ -397,7 +421,7 @@ def _solve_max_dual(lp: LinearProgram) -> LPSolution | None:
     costs = []
     col_row_sign = []  # (constraint index, +1 / -1) per core column
     for i, c in enumerate(lp.constraints):
-        col = [(v, _to_inner(c.coeffs[v])) for v in range(n) if c.coeffs[v]]
+        col = [(j, _to_inner(a)) for j, a in c.terms]
         if c.relation in (LESS_EQ, EQUAL):
             columns.append(col)
             costs.append(_to_inner(c.rhs))
@@ -429,9 +453,8 @@ def _combination(lp: LinearProgram, mult: Sequence[Fraction]) -> list[Fraction]:
     acc = [Fraction(0)] * lp.num_vars
     for m_i, c in zip(mult, lp.constraints):
         if m_i:
-            for j, a in enumerate(c.coeffs):
-                if a:
-                    acc[j] += m_i * a
+            for j, a in c.terms:
+                acc[j] += m_i * a
     return acc
 
 
@@ -452,7 +475,7 @@ def _check_optimal(lp: LinearProgram, sol: LPSolution,
     duality, all exact."""
     x = sol.point
     for i, c in enumerate(lp.constraints):
-        lhs = sum(a * v for a, v in zip(c.coeffs, x) if a)
+        lhs = sum(a * x[j] for j, a in c.terms)
         ok = (lhs <= c.rhs if c.relation == LESS_EQ
               else lhs >= c.rhs if c.relation == GREATER_EQ
               else lhs == c.rhs)
@@ -503,13 +526,6 @@ def solve_lp(lp: LinearProgram) -> LPSolution:
     """
     if not isinstance(lp, LinearProgram):
         raise InputError("expected a LinearProgram")
-    if len(lp.objective) != lp.num_vars:
-        raise InputError("objective/num_vars mismatch")
-    for i, c in enumerate(lp.constraints):
-        if len(c.coeffs) != lp.num_vars:
-            raise InputError(f"constraint {i} has wrong width")
-        if c.relation not in _RELATIONS:
-            raise InputError(f"constraint {i}: bad relation {c.relation!r}")
     limit = caps().lp_nonzeros
     nnz = lp_nonzeros(lp)
     if nnz > limit:
@@ -529,10 +545,12 @@ def solve_lp(lp: LinearProgram) -> LPSolution:
     return _checked(lp, sol)
 
 
-def farkas_feasibility(equalities: Sequence[tuple[Sequence, object]],
+def farkas_feasibility(num_vars: int,
+                       equalities: Sequence[tuple[Mapping, object]],
                        nonneg: Iterable[int] | None = None) -> LPSolution:
-    """Exact feasibility for  A.x = b  with x >= 0 on the flagged
-    variables (all of them by default) and free otherwise.
+    """Exact feasibility for  A.x = b  over num_vars variables, given as
+    ({variable: coeff}, rhs) rows, with x >= 0 on the flagged variables
+    (all of them by default) and free otherwise.
 
     solve_lp's primal adapter and verifier on the "=" rows with a zero
     objective.  Optimal: point is an exact solution (value 0, all duals 0),
@@ -541,14 +559,13 @@ def farkas_feasibility(equalities: Sequence[tuple[Sequence, object]],
     satisfy, exactly, (y.A)_j >= 0 for flagged j, (y.A)_j == 0 for free j,
     and y.b == -1.
     """
-    rows = list(equalities)
+    rows = [(coeffs, EQUAL, rhs) for coeffs, rhs in equalities]
     if not rows:
         raise InputError("empty system")
-    n = len(rows[0][0])
-    lp = linear_program(n, [(coeffs, EQUAL, rhs) for coeffs, rhs in rows],
-                        (0,) * n)
-    flagged = frozenset(range(n)) if nonneg is None else frozenset(nonneg)
-    if not flagged <= set(range(n)):
+    lp = linear_program(num_vars, rows, (0,) * num_vars)
+    everything = frozenset(range(num_vars))
+    flagged = everything if nonneg is None else frozenset(nonneg)
+    if not flagged <= everything:
         raise InputError("nonneg set out of range")
     sol = _solve_max_primal(lp, flagged)
     if sol.status == UNBOUNDED:  # cannot happen: the objective is zero

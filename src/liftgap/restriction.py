@@ -33,14 +33,14 @@ from .boolfn import (BoolFn, Density, FourierCoeffs, chang_junta,
                      fourier_transform, inverse_transform, junta_support,
                      mask_of)
 from .caps import caps
-from .csp import Instance, dummy_extend, evaluate, plant
+from .csp import Instance, dummy_extend, plant
 from .errors import (ExhaustedError, HypothesisError, InputError,
                      InternalError, ParameterError, SizeCapError)
 from .rationals import (QuarticThreshold, SqrtThreshold, format_rational,
                         gamma_below_abs, upper_approx)
 from .sa import pe_apply, pe_plant, sa_value
 from .slack import (PolyhedralRelaxation, farkas_decompose, lp_value,
-                    slack_functions)
+                    slack_functions, verify_decomposition)
 
 log = logging.getLogger(__name__)
 
@@ -484,14 +484,9 @@ def symmetric_contradiction_check(inst0: Instance, rel: PolyhedralRelaxation,
                 index=i, label=rel.labels[i], support_size=len(support),
                 is_small_junta=len(support) <= d, pe_value=value))
         # the decomposition identity survives the antidiagonal restriction
-        lam0, lam = decomposition.lam0, decomposition.lam
-        for x in range(1 << inst0.n):
-            total = lam0
-            for v, h in zip(lam, restrictions):
-                if v:
-                    total += v * h.values[x]
-            if total != c - evaluate(inst0, x):
-                raise InternalError("antidiagonal identity violated")
+        if not verify_decomposition(c, inst0, decomposition.lam0,
+                                    decomposition.lam, restrictions):
+            raise InternalError("antidiagonal identity violated")
         identity_checked = True
         consistent = c_minus_sa >= 0
     else:

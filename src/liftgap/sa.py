@@ -126,15 +126,8 @@ def build_sa_lp(n: int, d: int, objective: MultilinearPoly) -> LinearProgram:
             f"objective degree {objective.degree()} exceeds level {d}")
     masks = sa_variable_masks(n, d)
     index = {m: i for i, m in enumerate(masks)}
-    rows = []
-    for s_mask, _, terms in _indicators(n, d):
-        if not s_mask:
-            continue
-        coeffs = [0] * len(masks)
-        for alpha, sign in terms:
-            if alpha:
-                coeffs[index[alpha]] = sign
-        rows.append((coeffs, ">=", -1))
+    rows = [({index[alpha]: sign for alpha, sign in terms if alpha}, ">=", -1)
+            for s_mask, _, terms in _indicators(n, d) if s_mask]
     obj = [objective.get(m) for m in masks]
     return linear_program(len(masks), rows, obj, "maximize")
 
@@ -378,10 +371,7 @@ def build_edge_sa_lp(n: int, r: int, inst: Instance) -> LinearProgram:
         if key in seen:
             continue
         seen.add(key)
-        coeffs = [Fraction(0)] * len(monos)
-        for i, c in body:
-            coeffs[i] = c
-        rows.append((coeffs, ">=", -const))
+        rows.append((dict(body), ">=", -const))
     m_edges = len(inst.constraints)
     obj = [Fraction(0)] * len(monos)
     for c in inst.constraints:

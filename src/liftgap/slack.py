@@ -21,7 +21,7 @@ import logging
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .boolfn import BoolFn
 from .caps import caps
@@ -42,17 +42,23 @@ _mpq = int
 
 class PolyhedralRelaxation:
     """Immutable bundle: dimension, inequality list (stable indices), and
-    the two embeddings.  Instances of this class are built by the module
-    factories; the embedding identity and point feasibility are checked
-    exhaustively (n <= 12) on first use."""
+    the two embeddings.  Inequality i is ({e: a_e}, b), the row
+    sum_e a_e y_e <= b with its zero coefficients left out.  Instances of
+    this class are built by the module factories; the embedding identity
+    and point feasibility are checked exhaustively (n <= 12) on first
+    use."""
 
     def __init__(self, name: str, n: int, dim: int,
-                 inequalities: Sequence[tuple[tuple[Fraction, ...], Fraction]],
+                 inequalities: Sequence[tuple[Mapping[int, Fraction], Fraction]],
                  labels: Sequence[str],
                  assignment_embed: Callable[[int], tuple[Fraction, ...]],
                  instance_embed: Callable[[Instance], tuple[Fraction, ...]]):
         if len(labels) != len(inequalities):
             raise InputError("one label per inequality required")
+        if not all(type(e) is int and 0 <= e < dim
+                   for row, _ in inequalities for e in row):
+            raise InputError(
+                f"inequality coordinates must be integers in [0, {dim})")
         self.name = name
         self.n = n
         self.dim = dim
@@ -60,19 +66,11 @@ class PolyhedralRelaxation:
         self.labels = tuple(labels)
         self.assignment_embed = assignment_embed
         self.instance_embed = instance_embed
-        self._sparse = None
         self._points = None
         self._slacks = None
 
     def __repr__(self):
         return f"PolyhedralRelaxation({self.name}, R={len(self.inequalities)})"
-
-    def sparse_rows(self) -> list[tuple[list[tuple[int, Fraction]], Fraction]]:
-        if self._sparse is None:
-            self._sparse = [
-                ([(e, a) for e, a in enumerate(coeffs) if a], rhs)
-                for coeffs, rhs in self.inequalities]
-        return self._sparse
 
     def point_columns(self) -> tuple[list[list[int]], int]:
         """The embedded assignments as integer columns over one common
@@ -96,26 +94,21 @@ def metric_maxcut(n: int) -> PolyhedralRelaxation:
     index = {e: k for k, e in enumerate(pairs)}
     dim = len(pairs)
     zero, one, two = Fraction(0), Fraction(1), Fraction(2)
-    rows: list[tuple[tuple[Fraction, ...], Fraction]] = []
+    rows: list[tuple[dict[int, Fraction], Fraction]] = []
     labels: list[str] = []
-
-    def dense(entries: dict[int, Fraction]) -> tuple[Fraction, ...]:
-        return tuple(entries.get(k, zero) for k in range(dim))
-
     for e in pairs:
-        rows.append((dense({index[e]: -one}), zero))
+        rows.append(({index[e]: -one}, zero))
         labels.append(f"y{e}>=0")
     for e in pairs:
-        rows.append((dense({index[e]: one}), one))
+        rows.append(({index[e]: one}, one))
         labels.append(f"y{e}<=1")
     for i, j, k in itertools.combinations(range(1, n + 1), 3):
         eij, eik, ejk = (i, j), (i, k), (j, k)
         for long_e, a, b in ((eij, eik, ejk), (eik, eij, ejk), (ejk, eij, eik)):
-            rows.append((dense({index[long_e]: one, index[a]: -one,
-                                index[b]: -one}), zero))
+            rows.append(({index[long_e]: one, index[a]: -one, index[b]: -one},
+                         zero))
             labels.append(f"y{long_e}<=y{a}+y{b}")
-        rows.append((dense({index[eij]: one, index[eik]: one,
-                            index[ejk]: one}), two))
+        rows.append(({index[eij]: one, index[eik]: one, index[ejk]: one}, two))
         labels.append(f"y{eij}+y{eik}+y{ejk}<=2")
 
     def embed_assignment(x: int) -> tuple[Fraction, ...]:
@@ -150,25 +143,15 @@ def universal(n: int, d: int) -> PolyhedralRelaxation:
     index = {m: k for k, m in enumerate(masks)}
     dim = len(masks)
     zero, one = Fraction(0), Fraction(1)
-    rows: list[tuple[tuple[Fraction, ...], Fraction]] = []
-    labels: list[str] = []
-    empty = [zero] * dim
-    e0 = list(empty)
-    e0[0] = one
-    rows.append((tuple(e0), one))
-    labels.append("y0<=1")
-    e0 = list(empty)
-    e0[0] = -one
-    rows.append((tuple(e0), -one))
-    labels.append("y0>=1")
+    rows: list[tuple[dict[int, Fraction], Fraction]] = [
+        ({0: one}, one), ({0: -one}, -one)]
+    labels = ["y0<=1", "y0>=1"]
     # the indicator of x_S = a, scaled by 2^|S|, is >= 0: as a <= row,
     # sum_alpha -chi_alpha(a) y_alpha <= 0
     negated = {1: -one, -1: one}
     for s_mask, minus, terms in _indicators(n, d):
-        coeffs = list(empty)
-        for alpha, sign in terms:
-            coeffs[index[alpha]] = negated[sign]
-        rows.append((tuple(coeffs), zero))
+        rows.append(({index[alpha]: negated[sign] for alpha, sign in terms},
+                     zero))
         labels.append(f"ind(S={s_mask},a={minus})")
 
     def embed_assignment(x: int) -> tuple[Fraction, ...]:
@@ -190,14 +173,19 @@ def universal(n: int, d: int) -> PolyhedralRelaxation:
 def _validate_points(rel: PolyhedralRelaxation) -> None:
     """Every embedded assignment lies in the polyhedron (n <= 12); the
     check is the nonnegativity of all slack tables."""
-    if rel.n <= 12:
-        slack_functions(rel)
+    if rel.n > 12:
+        log.info("%s: point-feasibility check skipped (n = %d > 12)",
+                 rel.name, rel.n)
+        return
+    slack_functions(rel)
 
 
 def _validate_pairing(rel: PolyhedralRelaxation, inst: Instance,
                       vec: tuple[Fraction, ...]) -> None:
     """<instance vector, embedded x> equals the instance value (n <= 12)."""
     if rel.n > 12:
+        log.info("%s: pairing-identity check skipped (n = %d > 12)",
+                 rel.name, rel.n)
         return
     cols, den = rel.point_columns()
     nz = [(e, v) for e, v in enumerate(vec) if v]
@@ -220,7 +208,7 @@ def lp_value(rel: PolyhedralRelaxation, inst: Instance) -> Fraction:
     _validate_points(rel)
     _validate_pairing(rel, inst, vec)
     lp = linear_program(rel.dim,
-                        [(coeffs, "<=", rhs) for coeffs, rhs in rel.inequalities],
+                        [(row, "<=", rhs) for row, rhs in rel.inequalities],
                         vec, "maximize")
     sol = solve_lp(lp)
     if sol.status == "unbounded":
@@ -242,12 +230,12 @@ def slack_functions(rel: PolyhedralRelaxation) -> tuple[BoolFn, ...]:
     cols, den = rel.point_columns()
     size = 1 << rel.n
     out = []
-    for i, (row, rhs) in enumerate(rel.sparse_rows()):
+    for i, (row, rhs) in enumerate(rel.inequalities):
         # with L = scale, the row's common denominator:
         # L * den * q_i = (L b) den - sum_e (L a_e) cols[e], all integers
-        scale = math.lcm(rhs.denominator, *(a.denominator for _, a in row))
+        scale = math.lcm(rhs.denominator, *(a.denominator for a in row.values()))
         table = [rhs.numerator * (scale // rhs.denominator) * den] * size
-        for e, a in row:
+        for e, a in row.items():
             a_int = a.numerator * (scale // a.denominator)
             table = [t - a_int * c for t, c in zip(table, cols[e])]
         if min(table) < 0:
@@ -283,9 +271,12 @@ def farkas_decompose(c: Fraction, inst: Instance,
     size = 1 << rel.n
     equalities = []
     for x in range(size):
-        coeffs = [Fraction(1)] + [q.values[x] for q in slacks]
-        equalities.append((coeffs, c - evaluate(inst, x)))
-    sol = farkas_feasibility(equalities)
+        row = {0: 1}
+        for i, q in enumerate(slacks, 1):
+            if q.nums[x]:
+                row[i] = q.values[x]
+        equalities.append((row, c - evaluate(inst, x)))
+    sol = farkas_feasibility(1 + len(slacks), equalities)
     if sol.status == "optimal":
         return FarkasDecomposition(feasible=True, lam0=sol.point[0],
                                    lam=tuple(sol.point[1:]))

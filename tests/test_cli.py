@@ -4,6 +4,7 @@ import pytest
 
 from liftgap.cli import main
 from liftgap.csp import cycle, write_edge_list
+from liftgap.errors import InternalError
 
 
 @pytest.fixture
@@ -202,6 +203,18 @@ def test_domain_error_exit_code(capsys, triangle_file):
     assert "\n" not in err.strip()
 
 
+def test_internal_error_exit_code(capsys, monkeypatch, triangle_file):
+    def failing_check(inst):
+        raise InternalError("solution violates constraint 0")
+
+    monkeypatch.setattr("liftgap.cli.brute_force_opt", failing_check)
+    code, out, err = _run(capsys, "opt", triangle_file)
+    assert code == 3 and out == ""
+    assert "\n" not in err.strip()
+    assert json.loads(err) == {"error": "InternalError",
+                               "message": "solution violates constraint 0"}
+
+
 def test_usage_error_exit_code(capsys):
     code, _, err = _run(capsys, "sa")
     assert code == 2
@@ -225,8 +238,8 @@ def test_file_relaxation_matches_metric(capsys, tmp_path, triangle_file):
     rel = metric_maxcut(3)
     path = tmp_path / "rel.json"
     path.write_text(json.dumps({"embed": "metric", "inequalities": [
-        {"coeffs": [str(a) for a in coeffs], "b": str(b)}
-        for coeffs, b in rel.inequalities]}))
+        {"coeffs": [str(row.get(e, 0)) for e in range(rel.dim)], "b": str(b)}
+        for row, b in rel.inequalities]}))
     code, out, _ = _run(capsys, "lp", triangle_file,
                         "--relaxation", f"file:{path}")
     assert code == 0 and json.loads(out)["value"] == "2/3"
@@ -239,8 +252,10 @@ def test_file_relaxation_matches_metric(capsys, tmp_path, triangle_file):
     ("file", '{"embed": "file:SELF", "inequalities": []}'),
     ("file", '{"embed": "metric", "inequalities": '
              '[{"coeffs": ["1", "0", "0"], "b": "1", "label": 7}]}'),
+    ("file", '{"embed": "metric", "inequalities": '
+             '[{"coeffs": "100", "b": "1"}]}'),
 ], ids=["bad-level", "not-json", "no-inequalities", "file-embed",
-        "int-label"])
+        "int-label", "string-coeffs"])
 def test_malformed_relaxation_is_input_error(capsys, tmp_path, triangle_file,
                                              spec, content):
     if content is not None:

@@ -56,8 +56,9 @@ def _lp_text(lp) -> str:
 def _universal_text(n: int, d: int) -> str:
     rel = universal(n, d)
     lines = [f"{rel.name} {rel.dim}"]
-    lines += [f"{label}: {_row(coeffs)} <= {rhs}"
-              for (coeffs, rhs), label in zip(rel.inequalities, rel.labels)]
+    lines += [f"{label}: {_row(row.get(e, F(0)) for e in range(rel.dim))} "
+              f"<= {rhs}"
+              for (row, rhs), label in zip(rel.inequalities, rel.labels)]
     return "\n".join(lines)
 
 
@@ -161,13 +162,13 @@ OUTPUTS = {
         ["sa-edge", "c4.graph", "--level", "1"],
         {"c4.graph": write_edge_list(cycle(4))}),
     "solve_lp(minimize)": lambda: repr(solve_lp(linear_program(
-        2, [((1, 1), ">=", 3), ((1, 0), "<=", 2)], (1, 2), "minimize"))),
+        2, [({0: 1, 1: 1}, ">=", 3), ({0: 1}, "<=", 2)], (1, 2), "minimize"))),
     "solve_lp(contradictory bounds)": lambda: repr(solve_lp(linear_program(
-        1, [((1,), "<=", -1), ((1,), ">=", 0)], (1,)))),
+        1, [({0: 1}, "<=", -1), ({0: 1}, ">=", 0)], (1,)))),
     "farkas_feasibility(x=-1, x>=0)": lambda: repr(
-        farkas_feasibility([((1,), -1)])),
+        farkas_feasibility(1, [({0: 1}, -1)])),
     "farkas_feasibility(x+y=-2, y>=0)": lambda: repr(
-        farkas_feasibility([((1, 1), -2)], nonneg={1})),
+        farkas_feasibility(2, [({0: 1, 1: 1}, -2)], nonneg={1})),
     "cli protocol C4,K4-e T=2": lambda: _cli(
         ["protocol", "--rows", "c4.graph,k4e.graph", "--c", "11/10",
          "--s", "1", "--T", "2", "--out-prefix", "out"],

@@ -6,15 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from liftgap.errors import InputError, InternalError, SizeCapError
-from liftgap.lp import (INFEASIBLE, OPTIMAL, UNBOUNDED, LPSolution,
-                        _check_infeasible, _check_optimal, farkas_feasibility,
-                        linear_program, solve_lp)
+from liftgap.lp import (INFEASIBLE, OPTIMAL, UNBOUNDED, LinearConstraint,
+                        LinearProgram, LPSolution, _check_infeasible,
+                        _check_optimal, farkas_feasibility, linear_program,
+                        lp_nonzeros, solve_lp)
 
 F = Fraction
 
 
 def test_single_variable_optimum():
-    lp = linear_program(1, [((1,), "<=", F(2, 3)), ((1,), ">=", 0)], (1,))
+    lp = linear_program(1, [({0: 1}, "<=", F(2, 3)), ({0: 1}, ">=", 0)], (1,))
     sol = solve_lp(lp)
     assert sol.status == OPTIMAL
     assert sol.value == F(2, 3)
@@ -22,7 +23,7 @@ def test_single_variable_optimum():
 
 
 def test_contradictory_bounds_infeasible():
-    lp = linear_program(1, [((1,), "<=", -1), ((1,), ">=", 0)], (1,))
+    lp = linear_program(1, [({0: 1}, "<=", -1), ({0: 1}, ">=", 0)], (1,))
     sol = solve_lp(lp)
     assert sol.status == INFEASIBLE
     mult = sol.dual_certificate
@@ -36,17 +37,11 @@ def _metric_triangle_lp():
     # variables y12, y13, y23; objective = mean of the edge variables
     rows = []
     for e in range(3):
-        unit = [F(0)] * 3
-        unit[e] = F(1)
-        rows.append((tuple(-u for u in unit), "<=", F(0)))
-        rows.append((tuple(unit), "<=", F(1)))
+        rows.append(({e: F(-1)}, "<=", F(0)))
+        rows.append(({e: F(1)}, "<=", F(1)))
     for long_e, a, b in ((0, 1, 2), (1, 0, 2), (2, 0, 1)):
-        co = [F(0)] * 3
-        co[long_e] += 1
-        co[a] -= 1
-        co[b] -= 1
-        rows.append((tuple(co), "<=", F(0)))
-    rows.append(((F(1), F(1), F(1)), "<=", F(2)))
+        rows.append(({long_e: F(1), a: F(-1), b: F(-1)}, "<=", F(0)))
+    rows.append(({0: F(1), 1: F(1), 2: F(1)}, "<=", F(2)))
     return linear_program(3, rows, (F(1, 3),) * 3)
 
 
@@ -60,7 +55,7 @@ def test_metric_triangle_value():
 
 
 def test_unbounded():
-    lp = linear_program(1, [((1,), ">=", 0)], (1,))
+    lp = linear_program(1, [({0: 1}, ">=", 0)], (1,))
     assert solve_lp(lp).status == UNBOUNDED
     assert solve_lp(lp).value is None
 
@@ -84,7 +79,7 @@ def test_weak_duality_exact():
 
 
 def test_minimize_sense():
-    lp = linear_program(2, [((1, 1), ">=", 3), ((1, 0), "<=", 2)],
+    lp = linear_program(2, [({0: 1, 1: 1}, ">=", 3), ({0: 1}, "<=", 2)],
                         (1, 2), "minimize")
     sol = solve_lp(lp)
     assert sol.status == OPTIMAL and sol.value == 4
@@ -92,7 +87,8 @@ def test_minimize_sense():
 
 
 def test_equality_constraints():
-    lp = linear_program(2, [((1, 1), "=", 1), ((1, -1), "=", 0)], (1, 0))
+    lp = linear_program(2, [({0: 1, 1: 1}, "=", 1), ({0: 1, 1: -1}, "=", 0)],
+                        (1, 0))
     sol = solve_lp(lp)
     assert sol.status == OPTIMAL
     assert sol.point == (F(1, 2), F(1, 2))
@@ -100,32 +96,65 @@ def test_equality_constraints():
 
 def test_dimension_mismatch_rejected():
     with pytest.raises(InputError):
-        linear_program(2, [((1,), "<=", 0)], (1, 0))
+        linear_program(2, [({2: 1}, "<=", 0)], (1, 0))
     with pytest.raises(InputError):
-        linear_program(1, [((1,), "<<", 0)], (1,))
+        linear_program(1, [({0: 1}, "<<", 0)], (1,))
+
+
+@pytest.mark.parametrize("row", [{-1: 1}, {3: 1}, {F(1, 2): 1}, {"x": 1},
+                                 {"x": 1, 0: 1}, {True: 1}],
+                         ids=["negative", "past-end", "fraction", "text",
+                              "text-and-int", "bool"])
+def test_bad_variable_key_rejected(row):
+    with pytest.raises(InputError, match="constraint 1: variables"):
+        linear_program(3, [({0: 1}, "<=", 1), (row, "<=", 1)], (1, 1, 1))
+
+
+def test_direct_construction_is_validated():
+    ok = LinearConstraint(((0, F(1)),), "<=", F(1), 2)
+    LinearProgram(2, (ok,), (F(1), F(0)))
+    for bad in (LinearConstraint(((0, F(1)),), "<<", F(1), 2),
+                LinearConstraint(((2, F(1)),), "<=", F(1), 2),
+                LinearConstraint(((0, F(1)),), "<=", F(1), 3)):
+        with pytest.raises(InputError):
+            LinearProgram(2, (ok, bad), (F(1), F(0)))
+    with pytest.raises(InputError):
+        LinearProgram(2, (ok,), (F(1),))
+    with pytest.raises(InputError):
+        LinearProgram(2, (ok,), (F(1), F(0)), "maximise")
+
+
+def test_zero_coefficients_are_not_stored():
+    lp = linear_program(3, [({2: F(1, 2), 0: 0, 1: F(0)}, "<=", 1),
+                            ({1: -1, 0: 3}, ">=", 0)], (1, 1, 1))
+    assert [c.terms for c in lp.constraints] == [((2, F(1, 2)),),
+                                                 ((0, F(3)), (1, F(-1)))]
+    assert lp_nonzeros(lp) == 3
+    assert lp.constraints[0].coeffs == (F(0), F(0), F(1, 2))
+    assert lp.constraints[1].coeffs == (F(3), F(-1), F(0))
 
 
 def test_size_cap(monkeypatch):
-    lp = linear_program(2, [((1, 1), "<=", 1)] * 3, (1, 1))
+    lp = linear_program(2, [({0: 1, 1: 1}, "<=", 1)] * 3, (1, 1))
     monkeypatch.setenv("LIFTGAP_SIZE_CAPS", "lp_nonzeros=5")
     with pytest.raises(SizeCapError):
         solve_lp(lp)
 
 
 def test_farkas_feasibility_examples():
-    sol = farkas_feasibility([((1,), 1)])
+    sol = farkas_feasibility(1, [({0: 1}, 1)])
     assert sol.status == OPTIMAL and sol.point == (F(1),)
-    sol = farkas_feasibility([((1,), -1)])
+    sol = farkas_feasibility(1, [({0: 1}, -1)])
     assert sol.status == INFEASIBLE
     y = sol.dual_certificate
     assert y[0] * 1 >= 0 and y[0] * F(-1) == -1
     with pytest.raises(InputError):
-        farkas_feasibility([])
+        farkas_feasibility(1, [])
 
 
 def test_farkas_free_variables():
     # x free, y >= 0: x + y = -2 is solvable with free x
-    sol = farkas_feasibility([((1, 1), -2)], nonneg={1})
+    sol = farkas_feasibility(2, [({0: 1, 1: 1}, -2)], nonneg={1})
     assert sol.status == OPTIMAL
     x, y = sol.point
     assert x + y == -2 and y >= 0
@@ -133,8 +162,8 @@ def test_farkas_free_variables():
 
 def test_wide_lp_uses_same_contract():
     # many rows, few vars: exercised through the dual path
-    rows = [((1, 1), "<=", F(k, 7)) for k in range(3, 40)]
-    rows += [((1, -1), "<=", 1), ((-1, 0), "<=", 0), ((0, -1), "<=", 0)]
+    rows = [({0: 1, 1: 1}, "<=", F(k, 7)) for k in range(3, 40)]
+    rows += [({0: 1, 1: -1}, "<=", 1), ({0: -1}, "<=", 0), ({1: -1}, "<=", 0)]
     lp = linear_program(2, rows, (1, 1))
     sol = solve_lp(lp)
     assert sol.status == OPTIMAL
@@ -151,8 +180,8 @@ def _assert_rejected(message, check, lp, sol, *args):
 
 def test_check_optimal_rejects_corruptions():
     # max x + 2y  s.t.  x + y <= 3,  x >= 0,  y = 1
-    lp = linear_program(2, [((1, 1), "<=", 3), ((1, 0), ">=", 0),
-                            ((0, 1), "=", 1)], (1, 2))
+    lp = linear_program(2, [({0: 1, 1: 1}, "<=", 3), ({0: 1}, ">=", 0),
+                            ({1: 1}, "=", 1)], (1, 2))
     sol = solve_lp(lp)
     assert sol == LPSolution(OPTIMAL, F(4), (F(2), F(1)), (F(1), F(0), F(1)))
     _check_optimal(lp, sol)
@@ -170,7 +199,7 @@ def test_check_optimal_rejects_corruptions():
 
 def test_check_optimal_rejects_negative_nonneg_variable():
     # x + y = 0 with y >= 0: (1, -1) satisfies the row but not y >= 0
-    lp = linear_program(2, [((1, 1), "=", 0)], (0, 0))
+    lp = linear_program(2, [({0: 1, 1: 1}, "=", 0)], (0, 0))
     bad = LPSolution(OPTIMAL, F(0), (F(1), F(-1)), (F(0),))
     _check_optimal(lp, bad)
     _assert_rejected("negative nonneg variable 1", _check_optimal, lp, bad,
@@ -179,7 +208,7 @@ def test_check_optimal_rejects_negative_nonneg_variable():
 
 def test_check_infeasible_rejects_corruptions():
     # x = -1 with x >= 0: y = 1 has y.A = 1 >= 0 and y.b = -1
-    lp = linear_program(1, [((1,), "=", -1)], (0,))
+    lp = linear_program(1, [({0: 1}, "=", -1)], (0,))
     good = LPSolution(INFEASIBLE, dual_certificate=(F(1),))
     _check_infeasible(lp, good, {0})
     # nonzero on a free variable
@@ -187,12 +216,12 @@ def test_check_infeasible_rejects_corruptions():
                      good)
     # negative on a flagged variable: x = 1, y = -1
     _assert_rejected("combination wrong at var 0", _check_infeasible,
-                     linear_program(1, [((1,), "=", 1)], (0,)),
+                     linear_program(1, [({0: 1}, "=", 1)], (0,)),
                      LPSolution(INFEASIBLE, dual_certificate=(F(-1),)), {0})
     _assert_rejected("not normalized", _check_infeasible, lp,
                      LPSolution(INFEASIBLE, dual_certificate=(F(2),)), {0})
     # a wrong sign on an inequality row
-    lp_le = linear_program(1, [((1,), "<=", -1), ((1,), ">=", 0)], (1,))
+    lp_le = linear_program(1, [({0: 1}, "<=", -1), ({0: 1}, ">=", 0)], (1,))
     cert = solve_lp(lp_le).dual_certificate
     assert cert == (F(1), F(-1))
     _assert_rejected("certificate sign at row 0", _check_infeasible, lp_le,
@@ -214,9 +243,9 @@ def _equality_systems(draw):
 @settings(max_examples=120, deadline=None)
 def test_farkas_status_matches_solve_lp(data):
     n, rows, flagged = data
-    sol = farkas_feasibility(rows, nonneg=flagged)
-    bounds = [(tuple(int(k == j) for k in range(n)), ">=", 0)
-              for j in sorted(flagged)]
+    rows = [(dict(enumerate(cs)), b) for cs, b in rows]
+    sol = farkas_feasibility(n, rows, nonneg=flagged)
+    bounds = [({j: 1}, ">=", 0) for j in sorted(flagged)]
     lp = linear_program(n, [(cs, "=", b) for cs, b in rows] + bounds,
                         (0,) * n)
     assert sol.status == solve_lp(lp).status
@@ -294,7 +323,8 @@ def _boxed_lps(draw):
 @settings(max_examples=120, deadline=None)
 def test_against_vertex_enumeration(data):
     n, rows, objective = data
-    lp = linear_program(n, rows, objective)
+    lp = linear_program(n, [(dict(enumerate(cs)), rel, b)
+                            for cs, rel, b in rows], objective)
     sol = solve_lp(lp)
     oracle = _oracle_max(n, rows, objective)
     if oracle is None:

@@ -1,4 +1,5 @@
 import itertools
+import logging
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,8 @@ from liftgap.csp import (brute_force_opt, complete, cycle, evaluate,
                          graph_instance, plant, random_3sat)
 from liftgap.errors import (CertificationError, InputError, InternalError,
                             SizeCapError, UnboundedError)
-from liftgap.slack import (PolyhedralRelaxation, SlackMatrix, build_slack_matrix,
+from liftgap.slack import (PolyhedralRelaxation, SlackMatrix, _validate_pairing,
+                           _validate_points, build_slack_matrix,
                            factorization_product, factorization_to_csvs,
                            farkas_decompose, lp_value,
                            metric_maxcut, protocol_factorization,
@@ -34,10 +36,9 @@ def test_metric_c5_value_with_dual_oracle():
     # {1,2,3} and {3,4,5} plus the triangle facet y15 <= y13 + y35 sum to
     # 4 - (y12 + y23 + y34 + y45 + y15) >= 0, capping the cycle sum at 4.
     rows = dict(zip(rel.labels, rel.inequalities))
-    combo_coeffs = [sum(col) for col in zip(
-        rows["y(1, 2)+y(1, 3)+y(2, 3)<=2"][0],
-        rows["y(3, 4)+y(3, 5)+y(4, 5)<=2"][0],
-        rows["y(1, 5)<=y(1, 3)+y(3, 5)"][0])]
+    combo_coeffs = [sum(rows[label][0].get(e, 0) for label in (
+        "y(1, 2)+y(1, 3)+y(2, 3)<=2", "y(3, 4)+y(3, 5)+y(4, 5)<=2",
+        "y(1, 5)<=y(1, 3)+y(3, 5)")) for e in range(rel.dim)]
     combo_rhs = (rows["y(1, 2)+y(1, 3)+y(2, 3)<=2"][1]
                  + rows["y(3, 4)+y(3, 5)+y(4, 5)<=2"][1]
                  + rows["y(1, 5)<=y(1, 3)+y(3, 5)"][1])
@@ -78,18 +79,20 @@ def test_slack_functions_metric3():
 def _slacks_from_definition(rel):
     """b_i - <A_i, embedded x>, in Fraction arithmetic, one list per row."""
     points = [rel.assignment_embed(x) for x in range(1 << rel.n)]
-    return [[rhs - sum(a * p for a, p in zip(coeffs, pt)) for pt in points]
-            for coeffs, rhs in rel.inequalities]
+    return [[rhs - sum(row.get(e, 0) * p for e, p in enumerate(pt))
+             for pt in points]
+            for row, rhs in rel.inequalities]
 
 
 def _rescaled_metric4(point_scale):
     """metric(4) with fractional row multiples and scaled embedded points;
     the instance embedding is scaled inversely, keeping the pairing."""
     base = metric_maxcut(4)
-    rows = [(tuple(a * F(i % 5 + 1, 3) for a in coeffs), rhs * F(i % 5 + 1, 3))
-            for i, (coeffs, rhs) in enumerate(base.inequalities)]
+    rows = [({e: a * F(i % 5 + 1, 3) for e, a in row.items()},
+             rhs * F(i % 5 + 1, 3))
+            for i, (row, rhs) in enumerate(base.inequalities)]
     # y12 + y13/3 <= 4/3 mixes denominators within one row
-    rows.append(((F(1), F(1, 3)) + (F(0),) * (base.dim - 2), F(4, 3)))
+    rows.append(({0: F(1), 1: F(1, 3)}, F(4, 3)))
     return PolyhedralRelaxation(
         "rescaled", 4, base.dim, rows, base.labels + ("mixed",),
         lambda x: tuple(v * point_scale for v in base.assignment_embed(x)),
@@ -114,6 +117,26 @@ def test_embedding_checks_raise_internal_error():
         rel.assignment_embed, metric_maxcut(4).instance_embed)
     with pytest.raises(InternalError, match="pairing identity"):
         lp_value(broken, cycle(4))
+
+
+def test_skipped_checks_are_logged(caplog):
+    rel = metric_maxcut(13)
+    inst = cycle(13)
+    with caplog.at_level(logging.INFO, logger="liftgap.slack"):
+        _validate_points(rel)
+        _validate_pairing(rel, inst, rel.instance_embed(inst))
+    assert [r.getMessage() for r in caplog.records] == [
+        "metric(13): point-feasibility check skipped (n = 13 > 12)",
+        "metric(13): pairing-identity check skipped (n = 13 > 12)"]
+
+
+@pytest.mark.parametrize("row", [{3: F(1)}, {-1: F(1)}, {"0": F(1)}])
+def test_relaxation_rejects_bad_coordinate(row):
+    base = metric_maxcut(3)
+    with pytest.raises(InputError, match="coordinates"):
+        PolyhedralRelaxation("bad", 3, base.dim, [({0: F(1)}, F(1)), (row, F(1))],
+                             ["ok", "bad"], base.assignment_embed,
+                             base.instance_embed)
 
 
 def test_slacks_nonnegative_metric4():
