@@ -1,8 +1,11 @@
 """Exact rational linear programming over sparse rows.
 
-Two-phase revised simplex with Bland's pivot rule over exact rationals,
-so every solve terminates and returns bit-reproducible answers.  Both
-public contracts share one primal adapter and one verifier:
+Two-phase revised simplex with Bland's pivot rule, so every solve
+terminates and returns bit-reproducible answers.  The loop is
+fraction-free: each row is scaled to integers by the lcm of its
+denominators, the basis inverse is an integer adjugate over |det B|, and
+values become Fractions only on return.  Both public contracts share one
+primal adapter and one verifier:
 
 * solve_lp maximizes (a "minimize" LP is solved with its objective
   negated).  LPs with many more constraints than variables are solved
@@ -15,10 +18,6 @@ The verifier re-checks every returned solution against the input.
 Optimal: primal feasibility (x >= 0 on flagged variables included),
 objective value, dual signs, dual feasibility and strong duality.
 Infeasible: certificate signs, combination and normalization.
-
-Internally the hot loops run on gmpy2.mpq when available (a pure speed
-matter; results are exact either way) and all public values are
-fractions.Fraction.
 
 Conventions
 -----------
@@ -44,6 +43,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import AbstractSet, Iterable, Mapping, Sequence
 
 from .caps import caps
@@ -51,10 +51,9 @@ from .errors import InputError, InternalError, SizeCapError
 
 log = logging.getLogger(__name__)
 
-try:
-    from gmpy2 import mpq as _inner_q
-except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
-    _inner_q = Fraction
+# The number type of the simplex loop; perfbench/run.py records it as this
+# module's backend.
+_inner_q = int
 
 LESS_EQ = "<="
 EQUAL = "="
@@ -140,7 +139,7 @@ def lp_nonzeros(lp: LinearProgram) -> int:
 
 # ---------------------------------------------------------------------------
 # Revised simplex core: min costs.x  s.t.  columns.x = b, x >= 0.
-# Columns are sparse [(row, value), ...]; all values in the inner type.
+# Columns are sparse [(row, value), ...]; values are Fractions or ints.
 # ---------------------------------------------------------------------------
 
 
@@ -159,77 +158,64 @@ class _CoreResult:
 
 def _solve_standard(columns, b, costs):
     """Two-phase revised simplex with Bland's rule.  Exact; terminating;
-    deterministic.  Inputs are in the inner rational type and are not
-    modified."""
-    zero = _inner_q(0)
-    one = _inner_q(1)
+    deterministic.  Inputs are not modified; outputs are Fractions.
+
+    The loop holds only Python ints.  After the b >= 0 sign flip, row r
+    of [A | b] is scaled by s_r, the lcm of its denominators, and the
+    costs by L, the lcm of theirs.  The basis inverse is adj / den with
+    den = |det B|, and a pivot updates adj, den * x_B and den * y by
+    exact integer division (fraction-free pivoting: Edmonds 1967,
+    Bareiss 1968).  Row scaling leaves B^-1 a_j, the ratios and the
+    signs of the reduced costs as they are on the rational data, so
+    Bland's rule takes the same pivots.  In phase 1 the artificial of
+    row r costs L1 / s_r (L1 the lcm of the s_r): one unit of the
+    unscaled row, so phase 1 minimizes the same sum."""
     m = len(b)
     ncols = len(columns)
 
-    # normalize right-hand sides to be nonnegative; remember flips
-    sign = [1] * m
-    b_work = list(b)
-    for r in range(m):
-        if b_work[r] < 0:
-            sign[r] = -1
-            b_work[r] = -b_work[r]
-    cols = []
+    # nonnegative right-hand sides (remember the flips), integer rows
+    sign = [-1 if v < 0 else 1 for v in b]
+    scale = [v.denominator for v in b]
     for col in columns:
-        cols.append([(r, v if sign[r] > 0 else -v) for r, v in col if v])
+        for r, v in col:
+            scale[r] = lcm(scale[r], v.denominator)
+    cols = [[(r, sign[r] * v.numerator * (scale[r] // v.denominator))
+             for r, v in col if v] for col in columns]
+    x_b = [sign[r] * v.numerator * (scale[r] // v.denominator)
+           for r, v in enumerate(b)]
+    cost_scale = lcm(*(c.denominator for c in costs))
+    c_int = [c.numerator * (cost_scale // c.denominator) for c in costs]
 
     row_of = list(range(m))        # reduced row -> original row
-    binv = [[one if i == j else zero for j in range(m)] for i in range(m)]
+    adj = [[int(i == j) for j in range(m)] for i in range(m)]
+    den = 1
     basis = [ncols + r for r in range(m)]   # artificial ids
-    x_b = list(b_work)
     in_basis = [False] * ncols
 
-    def price_and_enter(cost_vec, y):
-        """First (Bland) structural column with negative reduced cost."""
-        for j in range(ncols):
-            if in_basis[j]:
-                continue
-            rc = cost_vec[j]
-            for r, v in cols[j]:
-                rc -= y[r] * v
-            if rc < 0:
-                return j, rc
-        return None, None
-
-    def compute_y(cost_of_basic):
-        y = [zero] * m
-        for p in range(m):
-            cb = cost_of_basic(p)
-            if cb:
-                row = binv[p]
-                y = [a + cb * v for a, v in zip(y, row)]
-        return y
-
     def ftran(j):
-        d = [zero] * m
-        for r, v in cols[j]:
-            for p in range(m):
-                br = binv[p][r]
-                if br:
-                    d[p] += br * v
-        return d
+        col = cols[j]
+        return [sum(row[r] * v for r, v in col) for row in adj]
 
     def pivot(leave, enter, d):
+        nonlocal adj, x_b, den
         piv = d[leave]
-        inv = one / piv
-        prow = binv[leave]
-        if piv != one:
-            prow = [v * inv for v in prow]
-            binv[leave] = prow
-        theta = x_b[leave] * inv
-        x_b[leave] = theta
+        lrow = adj[leave]
+        lx = x_b[leave]
         for p in range(m):
             if p == leave:
                 continue
             f = d[p]
             if f:
-                rowp = binv[p]
-                binv[p] = [a - f * v for a, v in zip(rowp, prow)]
-                x_b[p] -= f * theta
+                adj[p] = [(a * piv - f * v) // den
+                          for a, v in zip(adj[p], lrow)]
+            elif piv != den:
+                adj[p] = [a * piv // den for a in adj[p]]
+            x_b[p] = (x_b[p] * piv - f * lx) // den
+        den = piv
+        if piv < 0:  # only when driving artificials out
+            adj = [[-a for a in row] for row in adj]
+            x_b = [-v for v in x_b]
+            den = -piv
         left = basis[leave]
         if left < ncols:
             in_basis[left] = False
@@ -237,41 +223,53 @@ def _solve_standard(columns, b, costs):
         in_basis[enter] = True
 
     def run_phase(cost_vec, cost_of_basic):
+        """Returns (None, den * y) at the optimum, ((j, den * d), den * y)
+        when column j is an unbounded direction."""
+        y = [0] * m
+        for p in range(m):
+            cb = cost_of_basic(p)
+            if cb:
+                y = [a + cb * v for a, v in zip(y, adj[p])]
         iters = 0
         while True:
-            y = compute_y(cost_of_basic)
-            j, _ = price_and_enter(cost_vec, y)
-            if j is None:
-                return None
+            for j in range(ncols):
+                if not in_basis[j]:
+                    rc = cost_vec[j] * den - sum(y[r] * v for r, v in cols[j])
+                    if rc < 0:
+                        break
+            else:
+                return None, y
             d = ftran(j)
             leave = None
-            best = None
             for p in range(m):
-                if d[p] > 0:
-                    ratio = x_b[p] / d[p]
-                    key = (ratio, basis[p])
-                    if best is None or key < best:
-                        best = key
+                dp = d[p]
+                if dp > 0:
+                    if leave is None:
+                        leave = p
+                        continue
+                    lhs = x_b[p] * d[leave]
+                    rhs = x_b[leave] * dp
+                    if lhs < rhs or lhs == rhs and basis[p] < basis[leave]:
                         leave = p
             if leave is None:
-                return j, d  # unbounded along column j
+                return (j, d), y
+            piv = d[leave]
+            y = [(a * piv + rc * v) // den for a, v in zip(y, adj[leave])]
             pivot(leave, j, d)
             iters += 1
             if log.isEnabledFor(logging.DEBUG):
                 log.debug("pivot %d: enter %d leave slot %d", iters, j, leave)
 
     # ---- phase 1 ----
-    art_cost = lambda p: one if basis[p] >= ncols else zero
-    phase1_cost = [zero] * ncols
-    unb = run_phase(phase1_cost, art_cost)
+    art_scale = lcm(*scale)
+    art_cost = lambda p: (art_scale // scale[basis[p] - ncols]
+                          if basis[p] >= ncols else 0)
+    unb, y = run_phase([0] * ncols, art_cost)
     if unb is not None:  # cannot happen: phase-1 objective bounded below by 0
         raise InternalError("phase 1 reported unbounded")
-    v1 = sum((x_b[p] for p in range(m) if basis[p] >= ncols), zero)
-    if v1 > 0:
-        y = compute_y(art_cost)
-        cert = [zero] * len(b)
-        for r in range(m):
-            cert[row_of[r]] = y[r] if sign[row_of[r]] > 0 else -y[r]
+    if any(x_b[p] for p in range(m) if basis[p] >= ncols):
+        cert = [Fraction(sign[r] * y[r] * scale[r], den * art_scale)
+                for r in range(m)]
         return _CoreResult(INFEASIBLE, certificate=cert)
 
     # drive basic artificials out; rows that cannot pivot are redundant
@@ -279,76 +277,56 @@ def _solve_standard(columns, b, costs):
     for p in range(m):
         if basis[p] < ncols:
             continue
-        entry_col = None
+        row = adj[p]
         for j in range(ncols):
-            if in_basis[j]:
-                continue
-            dp = zero
-            row = binv[p]
-            for r, v in cols[j]:
-                br = row[r]
-                if br:
-                    dp += br * v
-            if dp:
-                entry_col = (j, dp)
+            if not in_basis[j] and sum(row[r] * v for r, v in cols[j]):
+                pivot(p, j, ftran(j))
                 break
-        if entry_col is None:
+        else:
             redundant.append(p)
-            continue
-        j, _ = entry_col
-        d = ftran(j)
-        pivot(p, j, d)
 
     if redundant:
-        # basis slot p holds the artificial of reduced row r = basis[p]-ncols,
-        # and binv[:, r] = e_p, so the minor without those slots/rows is the
-        # inverse for the reduced system.
-        dead_rows = sorted(basis[p] - ncols for p in redundant)
-        dead_slots = sorted(redundant)
-        keep_rows = [r for r in range(m) if r not in set(dead_rows)]
-        keep_slots = [p for p in range(m) if p not in set(dead_slots)]
+        # basis slot p holds the artificial of row r = basis[p]-ncols, and
+        # adj[:, r] = den * e_p, so the minor without those slots and rows
+        # is the adjugate of the reduced basis, with the same den.
+        dead_rows = {basis[p] - ncols for p in redundant}
+        keep_rows = [r for r in range(m) if r not in dead_rows]
+        keep_slots = [p for p in range(m) if p not in redundant]
         remap = {r: i for i, r in enumerate(keep_rows)}
         cols = [[(remap[r], v) for r, v in col if r in remap] for col in cols]
-        binv = [[binv[p][r] for r in keep_rows] for p in keep_slots]
+        adj = [[adj[p][r] for r in keep_rows] for p in keep_slots]
         x_b = [x_b[p] for p in keep_slots]
         basis = [basis[p] for p in keep_slots]
         row_of = [row_of[r] for r in keep_rows]
+        scale = [scale[r] for r in keep_rows]
         m = len(keep_rows)
 
     # ---- phase 2 ----
-    cost_of_basic = lambda p: costs[basis[p]]  # no artificial is basic now
-    unb = run_phase(costs, cost_of_basic)
+    unb, y = run_phase(c_int, lambda p: c_int[basis[p]])
     if unb is not None:
         j, d = unb
-        ray = [zero] * ncols
-        ray[j] = one
+        ray = [Fraction(0)] * ncols
+        ray[j] = Fraction(1)
         for p in range(m):
             if d[p]:
-                ray[basis[p]] = -d[p]
+                ray[basis[p]] = Fraction(-d[p], den)
         return _CoreResult(UNBOUNDED, ray=ray)
 
-    x = [zero] * ncols
+    x = [Fraction(0)] * ncols
     for p in range(m):
-        x[basis[p]] = x_b[p]
-    value = sum((costs[j] * x[j] for j in range(ncols) if x[j]), zero)
-    y = compute_y(cost_of_basic)
-    duals = [zero] * len(b)
+        x[basis[p]] = Fraction(x_b[p], den)
+    value = Fraction(sum(c_int[basis[p]] * x_b[p] for p in range(m)),
+                     cost_scale * den)
+    duals = [Fraction(0)] * len(b)
     for r in range(m):
-        duals[row_of[r]] = y[r] if sign[row_of[r]] > 0 else -y[r]
+        i = row_of[r]
+        duals[i] = Fraction(sign[i] * y[r] * scale[r], cost_scale * den)
     return _CoreResult(OPTIMAL, x=x, value=value, duals=duals)
 
 
 # ---------------------------------------------------------------------------
 # LinearProgram solving
 # ---------------------------------------------------------------------------
-
-
-def _to_inner(x: Fraction):
-    return _inner_q(x.numerator, x.denominator)
-
-
-def _to_fraction(x) -> Fraction:
-    return Fraction(x.numerator, x.denominator)
 
 
 def _fold(owners, vec, size: int) -> list[Fraction]:
@@ -358,7 +336,7 @@ def _fold(owners, vec, size: int) -> list[Fraction]:
     out = [Fraction(0)] * size
     for (i, s), v in zip(owners, vec):
         if v:
-            out[i] += s * _to_fraction(v)
+            out[i] += s * v
     return out
 
 
@@ -371,12 +349,12 @@ def _solve_max_primal(lp: LinearProgram,
     entries = [[] for _ in range(n)]
     for r, c in enumerate(lp.constraints):
         for j, a in c.terms:
-            entries[j].append((r, _to_inner(a)))
+            entries[j].append((r, a))
     columns = []
     costs = []
     owners = []  # (var, +1 / -1) per structural core column
     for j, col in enumerate(entries):
-        obj = _to_inner(lp.objective[j])
+        obj = lp.objective[j]
         columns.append(col)
         costs.append(-obj)
         owners.append((j, 1))
@@ -384,30 +362,28 @@ def _solve_max_primal(lp: LinearProgram,
             columns.append([(r, -v) for r, v in col])
             costs.append(obj)
             owners.append((j, -1))
-    zero = _inner_q(0)
-    one = _inner_q(1)
     for r, c in enumerate(lp.constraints):
         if c.relation == LESS_EQ:
-            columns.append([(r, one)])
-            costs.append(zero)
+            columns.append([(r, 1)])
+            costs.append(0)
         elif c.relation == GREATER_EQ:
-            columns.append([(r, -one)])
-            costs.append(zero)
-    b = [_to_inner(c.rhs) for c in lp.constraints]
+            columns.append([(r, -1)])
+            costs.append(0)
+    b = [c.rhs for c in lp.constraints]
     res = _solve_standard(columns, b, costs)
 
     if res.status == UNBOUNDED:
         return LPSolution(UNBOUNDED)
     if res.status == INFEASIBLE:
         y = res.certificate
-        yb = sum((yr * br for yr, br in zip(y, b) if yr), zero)
+        yb = sum(yr * br for yr, br in zip(y, b) if yr)
         if yb <= 0:
             raise InternalError("bad infeasibility certificate")
-        mult = [_to_fraction(-yr / yb) for yr in y]
+        mult = [-yr / yb for yr in y]
         return LPSolution(INFEASIBLE, dual_certificate=tuple(mult))
     point = tuple(_fold(owners, res.x, n))
-    value = -_to_fraction(res.value)
-    duals = tuple(_to_fraction(-yr) for yr in res.duals)
+    value = -res.value
+    duals = tuple(-yr for yr in res.duals)
     return LPSolution(OPTIMAL, value=value, point=point, dual_certificate=duals)
 
 
@@ -421,17 +397,16 @@ def _solve_max_dual(lp: LinearProgram) -> LPSolution | None:
     costs = []
     col_row_sign = []  # (constraint index, +1 / -1) per core column
     for i, c in enumerate(lp.constraints):
-        col = [(j, _to_inner(a)) for j, a in c.terms]
+        col = c.terms
         if c.relation in (LESS_EQ, EQUAL):
             columns.append(col)
-            costs.append(_to_inner(c.rhs))
+            costs.append(c.rhs)
             col_row_sign.append((i, 1))
         if c.relation in (GREATER_EQ, EQUAL):
             columns.append([(r, -v) for r, v in col])
-            costs.append(-_to_inner(c.rhs))
+            costs.append(-c.rhs)
             col_row_sign.append((i, -1))
-    b = [_to_inner(v) for v in lp.objective]
-    res = _solve_standard(columns, b, costs)
+    res = _solve_standard(columns, lp.objective, costs)
 
     if res.status == INFEASIBLE:
         return None
@@ -442,9 +417,7 @@ def _solve_max_dual(lp: LinearProgram) -> LPSolution | None:
             raise InternalError("bad dual ray")
         mult = [m_i / scale for m_i in mult]
         return LPSolution(INFEASIBLE, dual_certificate=tuple(mult))
-    point = tuple(_to_fraction(v) for v in res.duals)
-    value = _to_fraction(res.value)
-    return LPSolution(OPTIMAL, value=value, point=point,
+    return LPSolution(OPTIMAL, value=res.value, point=tuple(res.duals),
                       dual_certificate=tuple(_fold(col_row_sign, res.x, m)))
 
 

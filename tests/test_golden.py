@@ -25,18 +25,24 @@ from fractions import Fraction as F
 
 import pytest
 
+from liftgap.boolfn import BoolFn, boolfn_to_json
 from liftgap.cli import main
 from liftgap.lp import farkas_feasibility, linear_program, solve_lp
 from liftgap.csp import (complete, cycle, graph_instance, instance_polynomial,
                          random_3sat, write_edge_list)
+from liftgap.restriction import (main_inequality_experiment,
+                                 main_report_to_json,
+                                 symmetric_contradiction_check,
+                                 symmetric_report_to_json)
 from liftgap.sa import (EdgeFunctional, PseudoExpectation, build_sa_lp,
-                        check_lef, edge_monomials, edge_to_vertex, pe_to_json,
-                        sa_value)
+                        check_lef, edge_functional_to_json, edge_monomials,
+                        edge_sa_solve, edge_to_vertex, pe_to_json, sa_value)
 from liftgap.slack import (build_slack_matrix, matrix_to_csv,
                            protocol_tail_probabilities, universal)
 
 
 _K4_MINUS_EDGE = graph_instance(4, [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4)])
+_P3 = graph_instance(3, [(1, 2), (2, 3)])
 
 
 def _digest(text: str) -> str:
@@ -110,6 +116,19 @@ def _cli(argv: list[str], inputs: dict[str, str] | None = None,
     return "\n".join(texts)
 
 
+def _symmetric_text(inst, c: F) -> str:
+    return symmetric_report_to_json(
+        symmetric_contradiction_check(inst, universal(6, 2), c, 2))
+
+
+def _restrict_family() -> str:
+    """A constant density and the density 1 + x1*x2 on 12 variables."""
+    chi = BoolFn.character(12, [1, 2])
+    bump = BoolFn.from_ints(12, [chi.den + v for v in chi.nums], chi.den)
+    return "[" + ",".join(map(boolfn_to_json,
+                              (BoolFn.constant(12, 1), bump))) + "]"
+
+
 _PROTOCOL_FILES = tuple(f"out_{name}.{ext}" for name, ext in (
     ("M", "csv"), ("Mprime", "csv"), ("U", "csv"), ("V", "csv"),
     ("manifest", "json")))
@@ -174,6 +193,41 @@ OUTPUTS = {
          "--s", "1", "--T", "2", "--out-prefix", "out"],
         {"c4.graph": write_edge_list(cycle(4)),
          "k4e.graph": write_edge_list(_K4_MINUS_EDGE)}, _PROTOCOL_FILES),
+    # pivot-heavy simplex outputs and the README CLI examples
+    "symmetric C3 universal(6,2) c=99/100": lambda: _symmetric_text(
+        cycle(3), F(99, 100)),
+    "symmetric C3 universal(6,2) c=101/100": lambda: _symmetric_text(
+        cycle(3), F(101, 100)),
+    "symmetric P3 universal(6,2) c=99/100": lambda: _symmetric_text(
+        _P3, F(99, 100)),
+    "symmetric P3 universal(6,2) c=101/100": lambda: _symmetric_text(
+        _P3, F(101, 100)),
+    "main_report(universal(12,2),C3,d=2,seed=1)": lambda: main_report_to_json(
+        main_inequality_experiment(universal(12, 2), cycle(3), 2, 1)),
+    "edge_sa_solve(C5,2)": lambda: edge_functional_to_json(
+        edge_sa_solve(cycle(5), 2)[1]),
+    "pe_to_json(sa C9,3)": lambda: pe_to_json(sa_value(cycle(9), 3)[1]),
+    "pe_to_json(sa 3sat(7,25,seed=1),3)": lambda: pe_to_json(
+        sa_value(random_3sat(7, 25, 1), 3)[1]),
+    "cli lp C5 metric": lambda: _cli(
+        ["lp", "c5.graph", "--relaxation", "metric"],
+        {"c5.graph": write_edge_list(cycle(5))}),
+    "cli main-ineq metric C3 n=12 d=2 seed=1": lambda: _cli(
+        ["main-ineq", "--relaxation", "metric", "--inst0", "tri.graph",
+         "--n", "12", "--d", "2", "--seed", "1"],
+        {"tri.graph": write_edge_list(cycle(3))}),
+    "cli symmetric-check C3 c=99/100": lambda: _cli(
+        ["symmetric-check", "--inst0", "tri.graph", "--c", "99/100",
+         "--d", "2"], {"tri.graph": write_edge_list(cycle(3))}),
+    "cli translate v2e sa C5 rounds 6": lambda: _cli(
+        ["translate", "--direction", "v2e", "--in", "pe.json"],
+        {"pe.json": pe_to_json(sa_value(cycle(5), 6)[1])}),
+    "cli translate e2v sa-edge C5 level 1": lambda: _cli(
+        ["translate", "--direction", "e2v", "--in", "ef.json"],
+        {"ef.json": edge_functional_to_json(edge_sa_solve(cycle(5), 1)[1])}),
+    "cli restrict n=12 m=3 d=2 seed=1": lambda: _cli(
+        ["restrict", "--family", "densities.json", "--n", "12", "--m", "3",
+         "--d", "2", "--seed", "1"], {"densities.json": _restrict_family()}),
 }
 
 GOLDEN = {
@@ -186,20 +240,34 @@ GOLDEN = {
     'cli farkas K4 metric c=1/2': '61314111fa8cbbff9b1b3932fe31da4c2286d578410994f3f1cf6efbb67d7f17',
     'cli farkas K4 metric c=2/3': 'a474110bbffefc8c2659e8ae07b533da6b48a009167edea9fcb77b222af50a06',
     'cli farkas K4 universal:2 c=3/5': 'd9bd6f360854a79a84e092ac6cf2e78f1113e1aa5e9c9308da913a3cadbd2c92',
+    'cli lp C5 metric': '40c2687be777ce3337cb31bb9e76416a0ae64650b7ea1837c25936c7209114a9',
+    'cli main-ineq metric C3 n=12 d=2 seed=1': '344be4c4114486308478306cf2dddd52b2c0132c13cf8dc3b26d2056b16220e4',
     'cli protocol C4,K4-e T=2': '86a338db15a15e9c3011e68952faadc3bab5f876325c064e86952cc07a3dbc14',
     'cli protocol K4,K4-e T=2': '89de0c53796f6504f45ec6abf3abed4ae4336f4f97a09d692ed3eae6f60135b3',
+    'cli restrict n=12 m=3 d=2 seed=1': '2473a45188ad9d2dba4196812904965a32589f5b41934e7b38b87b3b7838e28e',
     'cli sa-edge C4 level 1': 'b24993bc47a1ed87c1a7730cee237ab892563687e3f3cb09456bd0abfc88dfc4',
     'cli slack metric n=4': '022e4bb510f3bdbf53997cdf553dab88f8fb474e0aa6c8086fab7ebb37674782',
     'cli slack universal:2 n=4': '4c4dd64533f2e9bd2148acbfb239d935e9a95eac1476d870a88bf323b04a068a',
+    'cli symmetric-check C3 c=99/100': 'fbf79ceefbd1983c3df85fb22bcd386c5a5922beb2d8eec32a2e08232d7406c4',
+    'cli translate e2v sa-edge C5 level 1': '113aa48ef2615d5bd7e809cc9a75b60d33ca890a1ba3b0b2ba92ec0f0ec6566e',
+    'cli translate v2e sa C5 rounds 6': '0d229b104819519d9264b460051b409df6e744e8141829400372395f75cc4c92',
+    'edge_sa_solve(C5,2)': '7e22aeabe8653f167cd4397f4003a618e3e462ff647b27b94d78bd7a14cef2db',
     'edge_to_vertex(cut mixture n=4,r=2)': '0ffa87111c6d7611ada5581d51ec0a15946a77f97b10e46ef9bacef853981584',
     'farkas_feasibility(x+y=-2, y>=0)': 'ae8591b4bcfe745af5f878c1d5e97c30c3bee0141a8f935fc2cc48cd43cd74a3',
     'farkas_feasibility(x=-1, x>=0)': '15a9fa9e607637c95c2089f89335b9d54736ecc2d6c82e22f8670b5aebc4df69',
+    'main_report(universal(12,2),C3,d=2,seed=1)': '750bf9feb6e4afbcb4e92599e92022542eead0325534136f6c6c76ecfa628fa4',
     'pe_to_json(sa 3sat(4,6,seed=2),3)': 'a5a3aa3194aa4165556f0344f814dc3c7419924b268bced28b50c345e2e783dc',
+    'pe_to_json(sa 3sat(7,25,seed=1),3)': 'fa41a35a926d5dc9725a9a6a1159f485f93ed2e0c8259be5edc8157c3b50080e',
     'pe_to_json(sa C3,2)': '8baec360f5e621c9bb61704f54da7a9e9436632b8161d18e598d0c0f3ae45ffe',
     'pe_to_json(sa C5,3)': '30f3b75caf8442708355737646981594e10f0f510f2f4b7cfaacd0fb04df935c',
+    'pe_to_json(sa C9,3)': 'b9393c7fe3b8dd62656c2baa552379382af76417acf56481dae6b4349982917f',
     'protocol_tail_probabilities(K4,K4-e,T=3)': '6938bd612ebcc5279852a45c0100a05a7f0f8718fe1ff3d7b4471745dd3e423c',
     'solve_lp(contradictory bounds)': 'ecf97d0a618fbff043a2c4f8d5a3afe122f76cb92b8872b4da7f1f18f53817c6',
     'solve_lp(minimize)': '2ea5176509409c2a495d38c1c32ad3d6455b8201bc176574e774f8f15e1f9285',
+    'symmetric C3 universal(6,2) c=101/100': 'd6ee77d99226c33e1a91ceaa8ad8ec13edf07927037401cdd31c84c48be62c65',
+    'symmetric C3 universal(6,2) c=99/100': 'b3028de54dfa2787625de9a62b50da0eb8a9c95570c810479fbd7421184a0149',
+    'symmetric P3 universal(6,2) c=101/100': 'd65cd1549d84f20909e156a6206d53946bd8c0cd5087c912f8fad7894c2409cc',
+    'symmetric P3 universal(6,2) c=99/100': '41eb68ad67b099e704bd46952e695a878bc52648af903da7df7ad6e44b705e70',
     'universal(12,2)': 'd14076cfc3a7a3de35633962832ec0192e3efa6851bc164e32d1454beeb9e177',
     'universal(3,2)': '9898a0adf6e8b9994a4a4093d80f3f57d8a5cba2dc88e6338396bc7f9b5d1c29',
     'universal(6,2)': '94a2cb829a0302aad87ac980c2fc3bd65b9e72059041cc9eb94da4e33399a396',

@@ -1,15 +1,19 @@
 import itertools
+import logging
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from liftgap.csp import cycle
 from liftgap.errors import InputError, InternalError, SizeCapError
 from liftgap.lp import (INFEASIBLE, OPTIMAL, UNBOUNDED, LinearConstraint,
                         LinearProgram, LPSolution, _check_infeasible,
                         _check_optimal, farkas_feasibility, linear_program,
                         lp_nonzeros, solve_lp)
+from liftgap.sa import edge_sa_solve, sa_value
+from liftgap.slack import farkas_decompose, universal
 
 F = Fraction
 
@@ -170,6 +174,24 @@ def test_wide_lp_uses_same_contract():
     assert sol.value == F(3, 7)
 
 
+@pytest.mark.parametrize("call, pivots", [
+    (lambda: sa_value(cycle(5), 3), 59),
+    (lambda: sa_value(cycle(7), 3), 218),
+    (lambda: edge_sa_solve(cycle(5), 1), 569),
+    # phase 1 on the scaled rows with unit artificial costs would take 19
+    (lambda: farkas_decompose(F(9, 10), cycle(4), universal(4, 2)), 18),
+], ids=["sa C5 level 3", "sa C7 level 3", "edge C5 level 1",
+        "farkas C4 universal:2 c=9/10"])
+def test_pivot_counts_are_pinned(caplog, call, pivots):
+    """The simplex path is pinned: the count of per-pivot DEBUG records
+    (perfbench's lp.pivots) changes with the pivot rule or the phase-1
+    costs, and outputs with it."""
+    with caplog.at_level(logging.DEBUG, logger="liftgap.lp"):
+        call()
+    assert sum(r.name == "liftgap.lp" and r.msg.startswith("pivot ")
+               for r in caplog.records) == pivots
+
+
 # --- the verifier rejects corrupted solutions -----------------------------
 
 
@@ -228,13 +250,29 @@ def test_check_infeasible_rejects_corruptions():
                      LPSolution(INFEASIBLE, dual_certificate=(F(-1), F(1))))
 
 
+def _rationals(bound: int):
+    """Rationals k/q with |k| <= bound and q in {1, 2, 3, 7}, so the core
+    scales rows and costs by lcms above 1."""
+    return st.builds(F, st.integers(-bound, bound),
+                     st.sampled_from([1, 2, 3, 7]))
+
+
+def _with_doubled_row(draw, rows, double):
+    """Sometimes append a copy of one row scaled by 2, making it redundant."""
+    if rows and draw(st.booleans()):
+        rows = rows + [double(draw(st.sampled_from(rows)))]
+    return rows
+
+
 @st.composite
 def _equality_systems(draw):
     n = draw(st.integers(1, 3))
     rows = draw(st.lists(
-        st.tuples(st.lists(st.integers(-3, 3), min_size=n, max_size=n),
-                  st.integers(-4, 4)),
+        st.tuples(st.lists(_rationals(3), min_size=n, max_size=n),
+                  _rationals(4)),
         min_size=1, max_size=4))
+    rows = _with_doubled_row(draw, rows,
+                             lambda row: ([2 * c for c in row[0]], 2 * row[1]))
     flagged = draw(st.sets(st.integers(0, n - 1)))
     return n, rows, flagged
 
@@ -302,20 +340,21 @@ def _oracle_max(num_vars, rows, objective):
 @st.composite
 def _boxed_lps(draw):
     n = draw(st.integers(1, 3))
-    coeff = st.integers(-3, 3)
+    coeff = _rationals(3)
     extra = draw(st.lists(
         st.tuples(st.lists(coeff, min_size=n, max_size=n),
                   st.sampled_from(["<=", ">=", "="]),
-                  st.integers(-4, 4)),
+                  _rationals(4)),
         min_size=0, max_size=3))
-    rows = [(tuple(F(c) for c in cs), rel, F(b)) for cs, rel, b in extra]
+    rows = [(tuple(cs), rel, b) for cs, rel, b in extra]
+    rows = _with_doubled_row(draw, rows, lambda row: (
+        tuple(2 * c for c in row[0]), row[1], 2 * row[2]))
     for j in range(n):
         unit = [F(0)] * n
         unit[j] = F(1)
         rows.append((tuple(unit), "<=", F(3)))
         rows.append((tuple(unit), ">=", F(-3)))
-    objective = tuple(F(c) for c in draw(
-        st.lists(coeff, min_size=n, max_size=n)))
+    objective = tuple(draw(st.lists(coeff, min_size=n, max_size=n)))
     return n, rows, objective
 
 
