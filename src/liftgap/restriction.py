@@ -15,7 +15,13 @@ asymptotic error estimate epsilon(n).
 The symmetric side: detect (junta coordinates + level) structure of a
 function, restrict along the antidiagonal x -> (x, -x), and observe the
 contradiction that kills small symmetric relaxations below the level-d
-value.
+value.  The contradiction needs a slack family closed under coordinate
+permutations.  The closure check moves each slack's few nonzero integer
+spectrum entries, which a permutation moves by the bit map it induces on
+masks, instead of whole tables; it tries the same permutations and gives
+the same verdict.  A decomposition that is feasible below the level-d
+value through a slack whose restriction is no small junta is a failed
+hypothesis, not a bug.
 """
 
 from __future__ import annotations
@@ -24,12 +30,13 @@ import itertools
 import json
 import logging
 import math
+import operator
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import AbstractSet, Sequence
 
-from .boolfn import (BoolFn, Density, FourierCoeffs, chang_junta,
+from .boolfn import (BoolFn, Density, FourierCoeffs, _butterfly, chang_junta,
                      fourier_transform, inverse_transform, junta_support,
                      mask_of)
 from .caps import caps
@@ -411,24 +418,21 @@ class SymmetricCheckReport:
     consistent: bool
 
 
-def _permutation_index(perm: Sequence[int], n: int) -> list[int]:
-    """The position each table position x reads in x -> q(perm applied to
-    x), perm[i] = image of variable i+1."""
-    out = []
-    for x in range(1 << n):
-        y = 0
-        for i in range(n):
-            if x >> (perm[i] - 1) & 1:
-                y |= 1 << i
-        out.append(y)
-    return out
-
-
 def verify_symmetry_closure(slacks: Sequence[BoolFn], n: int) -> tuple[int, bool]:
     """Closure of the slack family under coordinate permutations: checked
     against all n! permutations for n <= 6, otherwise against the two
-    generators (the n-cycle and a transposition)."""
-    family = {(q.den, q.nums) for q in slacks}
+    generators (the n-cycle and a transposition).
+
+    The image of q under a permutation reads q at the bit-permuted
+    position, so its Walsh-Hadamard spectrum is q's moved by the same map
+    on masks.  Each distinct slack is keyed once by den and its nonzero
+    integer spectrum (over den << n), which determine its table, and a
+    permutation moves only those few entries (a slack of degree <= d has
+    at most sum_{k<=d} C(n,k) of them): the image is in the family exactly
+    when its moved key is, as with whole tables."""
+    for i, q in enumerate(slacks):
+        if q.n != n:
+            raise InputError(f"slack {i} lives on {q.n} vars, expected {n}")
     if n <= 6:
         perms = itertools.permutations(range(1, n + 1))
         count = math.factorial(n)
@@ -437,16 +441,26 @@ def verify_symmetry_closure(slacks: Sequence[BoolFn], n: int) -> tuple[int, bool
         transposition = tuple([2, 1] + list(range(3, n + 1)))
         perms = iter((cycle_perm, transposition))
         count = 2
-    ok = True
+    entries = []
+    for q in set(slacks):
+        spectrum = _butterfly(q.nums)
+        masks = tuple(a for a, s in enumerate(spectrum) if s)
+        # each entry is one int: the numerator shifted above the mask bits
+        entries.append((q.den, masks, tuple(spectrum[a] << n for a in masks)))
+    keys = {(den, frozenset(map(operator.or_, vals, masks)))
+            for den, masks, vals in entries}
     for perm in perms:
-        index = _permutation_index(perm, n)
-        for q in slacks:
-            if (q.den, tuple(map(q.nums.__getitem__, index))) not in family:
-                ok = False
-                break
-        if not ok:
-            break
-    return count, ok
+        # moved[x]: bit i of x set moves to bit perm[i] - 1
+        moved = [0]
+        for image in perm:
+            bit = 1 << (image - 1)
+            moved += [y | bit for y in moved]
+        get = moved.__getitem__
+        for den, masks, vals in entries:
+            if (den, frozenset(map(operator.or_, vals, map(get, masks)))) \
+                    not in keys:
+                return count, False
+    return count, True
 
 
 def symmetric_contradiction_check(inst0: Instance, rel: PolyhedralRelaxation,
@@ -457,7 +471,9 @@ def symmetric_contradiction_check(inst0: Instance, rel: PolyhedralRelaxation,
     the decomposition must be infeasible: otherwise every antidiagonal
     slack restriction is a nonnegative small junta, the level-d
     functional is nonnegative on it, and applying the functional to the
-    decomposition identity would prove c >= level-d value."""
+    decomposition identity would prove c >= level-d value.  A feasible
+    decomposition below the value through a slack whose restriction is no
+    small junta is a HypothesisError; through small juntas only, a bug."""
     c = Fraction(c)
     n = rel.n
     if n != 2 * inst0.n:
@@ -492,6 +508,16 @@ def symmetric_contradiction_check(inst0: Instance, rel: PolyhedralRelaxation,
     else:
         consistent = c_minus_sa < 0
 
+    if not consistent and decomposition.feasible:
+        # feasible below the level-d value: the contradiction's hypothesis
+        # fails unless every slack the decomposition uses is a small junta
+        for r, lam in zip(records, decomposition.lam):
+            if lam > 0 and not r.is_small_junta:
+                raise HypothesisError(
+                    f"decomposition is feasible at c - value = {c_minus_sa} "
+                    f"through slack {r.index} ({r.label}) with multiplier "
+                    f"{lam}, whose antidiagonal restriction depends on "
+                    f"{r.support_size} > d = {d} coordinates")
     if not consistent:
         raise InternalError(
             "outcome inconsistent with the level-d value: feasible="

@@ -175,6 +175,40 @@ def test_symmetric_check_command(capsys, triangle_file):
     assert doc["report"]["consistent"] is True
 
 
+def _assert_hypothesis_error(code, out, err):
+    assert code == 1 and out == ""
+    assert "\n" not in err.strip()
+    assert json.loads(err)["error"] == "HypothesisError"
+
+
+@pytest.mark.parametrize("relaxation", ["metric", "universal:3"])
+def test_symmetric_check_feasible_below_value(capsys, triangle_file,
+                                              relaxation):
+    # both decompose c - C3 at c = 99/100, below the level-2 value 1,
+    # through a slack whose antidiagonal restriction is no 2-junta
+    code, out, err = _run(capsys, "symmetric-check", "--inst0", triangle_file,
+                          "--c", "99/100", "--d", "2",
+                          "--relaxation", relaxation)
+    _assert_hypothesis_error(code, out, err)
+    assert "3 > d = 2 coordinates" in json.loads(err)["message"]
+
+
+def test_symmetric_check_unclosed_file_relaxation(capsys, tmp_path,
+                                                  triangle_file):
+    from liftgap.slack import universal
+    rel = universal(6, 2)
+    row, b = rel.inequalities[rel.labels.index("ind(S=1,a=0)")]
+    path = tmp_path / "rel.json"
+    path.write_text(json.dumps({"embed": "universal:2", "inequalities": [
+        {"coeffs": [str(row.get(e, 0)) for e in range(rel.dim)],
+         "b": str(b), "label": "ind(S=1,a=0)"}]}))
+    code, out, err = _run(capsys, "symmetric-check", "--inst0", triangle_file,
+                          "--c", "99/100", "--d", "2",
+                          "--relaxation", f"file:{path}")
+    _assert_hypothesis_error(code, out, err)
+    assert "not closed" in json.loads(err)["message"]
+
+
 def test_main_ineq_command(capsys, triangle_file):
     code, out, _ = _run(capsys, "main-ineq", "--relaxation", "universal:2",
                         "--inst0", triangle_file, "--n", "12", "--d", "2",

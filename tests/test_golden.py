@@ -37,7 +37,7 @@ from liftgap.restriction import (main_inequality_experiment,
 from liftgap.sa import (EdgeFunctional, PseudoExpectation, build_sa_lp,
                         check_lef, edge_functional_to_json, edge_monomials,
                         edge_sa_solve, edge_to_vertex, pe_to_json, sa_value)
-from liftgap.slack import (build_slack_matrix, matrix_to_csv,
+from liftgap.slack import (build_slack_matrix, matrix_to_csv, metric_maxcut,
                            protocol_tail_probabilities, universal)
 
 
@@ -116,9 +116,10 @@ def _cli(argv: list[str], inputs: dict[str, str] | None = None,
     return "\n".join(texts)
 
 
-def _symmetric_text(inst, c: F) -> str:
+def _symmetric_text(inst, c: F, rel=None) -> str:
+    rel = universal(6, 2) if rel is None else rel
     return symmetric_report_to_json(
-        symmetric_contradiction_check(inst, universal(6, 2), c, 2))
+        symmetric_contradiction_check(inst, rel, c, 2))
 
 
 def _restrict_family() -> str:
@@ -202,6 +203,13 @@ OUTPUTS = {
         _P3, F(99, 100)),
     "symmetric P3 universal(6,2) c=101/100": lambda: _symmetric_text(
         _P3, F(101, 100)),
+    # feasible branches whose slacks mix sparse tables and sparse spectra
+    "symmetric C3 metric(6) c=101/100": lambda: _symmetric_text(
+        cycle(3), F(101, 100), metric_maxcut(6)),
+    "symmetric C3 universal(6,3) c=101/100": lambda: _symmetric_text(
+        cycle(3), F(101, 100), universal(6, 3)),
+    "symmetric P3 metric(6) c=99/100": lambda: _symmetric_text(
+        _P3, F(99, 100), metric_maxcut(6)),
     "main_report(universal(12,2),C3,d=2,seed=1)": lambda: main_report_to_json(
         main_inequality_experiment(universal(12, 2), cycle(3), 2, 1)),
     "edge_sa_solve(C5,2)": lambda: edge_functional_to_json(
@@ -264,8 +272,11 @@ GOLDEN = {
     'protocol_tail_probabilities(K4,K4-e,T=3)': '6938bd612ebcc5279852a45c0100a05a7f0f8718fe1ff3d7b4471745dd3e423c',
     'solve_lp(contradictory bounds)': 'ecf97d0a618fbff043a2c4f8d5a3afe122f76cb92b8872b4da7f1f18f53817c6',
     'solve_lp(minimize)': '2ea5176509409c2a495d38c1c32ad3d6455b8201bc176574e774f8f15e1f9285',
+    'symmetric C3 metric(6) c=101/100': 'eb41a609191b6e9c75a6c9a892ec2acda1553eb3d5947d04dfe1ed69f8a4a850',
     'symmetric C3 universal(6,2) c=101/100': 'd6ee77d99226c33e1a91ceaa8ad8ec13edf07927037401cdd31c84c48be62c65',
     'symmetric C3 universal(6,2) c=99/100': 'b3028de54dfa2787625de9a62b50da0eb8a9c95570c810479fbd7421184a0149',
+    'symmetric C3 universal(6,3) c=101/100': '244871c8c80699f7de648e62c32c5b2af0c6d0e28b2f6eb4fad1587b1223271b',
+    'symmetric P3 metric(6) c=99/100': 'cc82ea9b3dcc668730373b0970918ce5ea4cb411ae66cbba035b2715f77e3063',
     'symmetric P3 universal(6,2) c=101/100': 'd65cd1549d84f20909e156a6206d53946bd8c0cd5087c912f8fad7894c2409cc',
     'symmetric P3 universal(6,2) c=99/100': '41eb68ad67b099e704bd46952e695a878bc52648af903da7df7ad6e44b705e70',
     'universal(12,2)': 'd14076cfc3a7a3de35633962832ec0192e3efa6851bc164e32d1454beeb9e177',

@@ -1,3 +1,6 @@
+import functools
+import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -6,8 +9,8 @@ import pytest
 from liftgap.boolfn import (BoolFn, Density, FourierCoeffs,
                             fourier_transform, junta_support, mask_of)
 from liftgap.csp import cycle
-from liftgap.errors import (ExhaustedError, InputError, ParameterError,
-                            SizeCapError)
+from liftgap.errors import (ExhaustedError, HypothesisError, InputError,
+                            InternalError, ParameterError, SizeCapError)
 from liftgap.restriction import (antidiagonal_restriction, check_restriction,
                                  decompose_restricted_density,
                                  detect_symmetric_structure, epsilon_formula,
@@ -17,10 +20,11 @@ from liftgap.restriction import (antidiagonal_restriction, check_restriction,
                                  restriction_report_to_json,
                                  sample_restriction, smoothness_exponent,
                                  symmetric_contradiction_check,
-                                 symmetric_report_to_json, trial_seed)
+                                 symmetric_report_to_json, trial_seed,
+                                 verify_symmetry_closure)
 from liftgap.rationals import QuarticThreshold
 from liftgap.sa import pe_apply, sa_value
-from liftgap.slack import metric_maxcut, universal
+from liftgap.slack import metric_maxcut, slack_functions, universal
 
 F = Fraction
 
@@ -301,6 +305,133 @@ def test_symmetric_check_below_value_infeasible():
 def test_symmetric_check_requires_doubled_relaxation():
     with pytest.raises(InputError):
         symmetric_contradiction_check(cycle(3), universal(4, 2), F(1), 2)
+
+
+def test_symmetric_check_feasible_below_value_is_hypothesis_error():
+    # metric(6) and universal(6,3) decompose c - C3 at c = 99/100 < 1
+    # through a slack whose antidiagonal restriction depends on all three
+    # coordinates: the contradiction's hypothesis fails, not the code
+    for rel, label in ((metric_maxcut(6), "(y(1, 2)+y(1, 3)+y(2, 3)<=2)"),
+                       (universal(6, 3), "(ind(S=7,a=0))")):
+        with pytest.raises(HypothesisError, match=r"3 > d = 2") as err:
+            symmetric_contradiction_check(cycle(3), rel, F(99, 100), 2)
+        assert label in str(err.value)
+
+
+def test_symmetric_check_small_junta_inconsistency_is_internal(monkeypatch):
+    # every slack of universal(6,2) restricts to a small junta, so a
+    # feasible decomposition below the level-d value would be a bug
+    import liftgap.restriction as restriction_module
+
+    def raised_value(inst, d):
+        value, pe = sa_value(inst, d)
+        return value + 1, pe
+
+    monkeypatch.setattr(restriction_module, "sa_value", raised_value)
+    with pytest.raises(InternalError, match="inconsistent"):
+        symmetric_contradiction_check(cycle(3), universal(6, 2), F(1), 2)
+
+
+def _reference_closed(slacks, perms) -> bool:
+    """The whole-table check: every slack read through every permuted
+    position index is a table of the family."""
+    family = {(q.den, q.nums) for q in slacks}
+    for perm in perms:
+        n = len(perm)
+        index = [sum(1 << i for i in range(n) if x >> (perm[i] - 1) & 1)
+                 for x in range(1 << n)]
+        for q in slacks:
+            if (q.den, tuple(q.nums[y] for y in index)) not in family:
+                return False
+    return True
+
+
+def _reference_closure(slacks, n) -> tuple[int, bool]:
+    if n <= 6:
+        perms = list(itertools.permutations(range(1, n + 1)))
+    else:
+        perms = [tuple(range(2, n + 1)) + (1,), (2, 1) + tuple(range(3, n + 1))]
+    return len(perms), _reference_closed(slacks, perms)
+
+
+_CLOSURE_FAMILIES = {
+    "universal(6,1)": lambda: universal(6, 1),
+    "universal(6,2)": lambda: universal(6, 2),
+    "universal(6,3)": lambda: universal(6, 3),
+    "metric(6)": lambda: metric_maxcut(6),
+    "universal(4,2)": lambda: universal(4, 2),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _closure_family(name: str) -> tuple[BoolFn, ...]:
+    return tuple(slack_functions(_CLOSURE_FAMILIES[name]()))
+
+
+@pytest.mark.parametrize("name", sorted(_CLOSURE_FAMILIES))
+def test_symmetry_closure_matches_whole_tables(name):
+    slacks = _closure_family(name)
+    n = slacks[0].n
+    assert verify_symmetry_closure(slacks, n) == \
+        _reference_closure(slacks, n) == (math.factorial(n), True)
+
+
+def _swap_12(q: BoolFn) -> BoolFn:
+    """q with x1 and x2 exchanged."""
+    def swapped(x):
+        return x & ~3 | (x & 1) << 1 | (x >> 1 & 1)
+    return BoolFn.from_ints(q.n, [q.nums[swapped(x)] for x in range(1 << q.n)],
+                            q.den)
+
+
+def test_symmetry_closure_matches_whole_tables_on_perturbations():
+    outcomes = []
+    for seed in range(66):
+        rng = random.Random(seed)
+        slacks = list(_closure_family(rng.choice(sorted(_CLOSURE_FAMILIES))))
+        n = slacks[0].n
+        kind = seed % 3
+        if kind == 0:
+            del slacks[rng.randrange(len(slacks))]
+        elif kind == 1:
+            i = rng.randrange(len(slacks))
+            nums = list(slacks[i].nums)
+            nums[rng.randrange(1 << n)] += rng.choice((-1, 1))
+            slacks[i] = BoolFn.from_ints(n, nums, slacks[i].den)
+        else:
+            cycle_perm = tuple(range(2, n + 1)) + (1,)
+            picked = [q for q in rng.sample(slacks, 3)
+                      if not _reference_closed([q], [cycle_perm])]
+            slacks = picked + [_swap_12(q) for q in picked]
+            assert _reference_closed(slacks, [(2, 1) + tuple(range(3, n + 1))])
+            assert not _reference_closed(slacks, [cycle_perm])
+        result = verify_symmetry_closure(slacks, n)
+        assert result == _reference_closure(slacks, n), seed
+        outcomes.append(result[1])
+    assert outcomes.count(False) >= 40
+
+
+def test_symmetry_closure_generators_above_six():
+    slacks = slack_functions(universal(8, 2))
+    assert verify_symmetry_closure(slacks, 8) == (2, True)
+    dropped = [q for q in slacks if q != slacks[3]]  # ind(S=1,a=0)
+    assert verify_symmetry_closure(dropped, 8) == (2, False)
+    assert _reference_closure(dropped, 8) == (2, False)
+
+
+def test_symmetry_closure_keeps_denominators():
+    # x1 and x2 / 2 have the same numerators, and the swap maps x1 to x2,
+    # which is not in the family
+    x1, x2 = BoolFn.character(2, [1]), BoolFn.character(2, [2])
+    assert verify_symmetry_closure([x1, x2.scaled(F(1, 2))], 2) == (2, False)
+    assert verify_symmetry_closure([x1, x2], 2) == (2, True)
+
+
+def test_symmetry_closure_checks_variable_count():
+    slacks = slack_functions(universal(4, 2))
+    for n in (3, 6):
+        with pytest.raises(InputError, match="lives on 4 vars"):
+            verify_symmetry_closure(slacks, n)
 
 
 def test_restriction_report_json():
