@@ -25,13 +25,16 @@ from fractions import Fraction as F
 
 import pytest
 
-from liftgap.boolfn import BoolFn, boolfn_to_json
+from liftgap.boolfn import (BoolFn, Density, FourierCoeffs, boolfn_to_json,
+                            inverse_transform)
 from liftgap.cli import main
 from liftgap.lp import farkas_feasibility, linear_program, solve_lp
 from liftgap.csp import (complete, cycle, graph_instance, instance_polynomial,
                          random_3sat, write_edge_list)
-from liftgap.restriction import (main_inequality_experiment,
+from liftgap.restriction import (check_restriction,
+                                 main_inequality_experiment,
                                  main_report_to_json,
+                                 restriction_report_to_json,
                                  symmetric_contradiction_check,
                                  symmetric_report_to_json)
 from liftgap.sa import (EdgeFunctional, PseudoExpectation, build_sa_lp,
@@ -130,6 +133,16 @@ def _restrict_family() -> str:
                               (BoolFn.constant(12, 1), bump))) + "]"
 
 
+def _failing_restriction_text() -> str:
+    """A report without a seed whose one record fails: the density
+    1 + (x1 + x2 + x3)/4 has sup norm 7/4 > 2^0, and its junta {1, 2, 3}
+    is wider than d = 2."""
+    q = Density(inverse_transform(FourierCoeffs(
+        12, {0: F(1), 1: F(1, 4), 2: F(1, 4), 4: F(1, 4)})))
+    return restriction_report_to_json(
+        check_restriction([q], {1, 2, 3}, d=2, t=0, m=3, n=12))
+
+
 _PROTOCOL_FILES = tuple(f"out_{name}.{ext}" for name, ext in (
     ("M", "csv"), ("Mprime", "csv"), ("U", "csv"), ("V", "csv"),
     ("manifest", "json")))
@@ -210,6 +223,7 @@ OUTPUTS = {
         cycle(3), F(101, 100), universal(6, 3)),
     "symmetric P3 metric(6) c=99/100": lambda: _symmetric_text(
         _P3, F(99, 100), metric_maxcut(6)),
+    "restriction_report(failing, no seed)": _failing_restriction_text,
     "main_report(universal(12,2),C3,d=2,seed=1)": lambda: main_report_to_json(
         main_inequality_experiment(universal(12, 2), cycle(3), 2, 1)),
     "edge_sa_solve(C5,2)": lambda: edge_functional_to_json(
@@ -270,6 +284,7 @@ GOLDEN = {
     'pe_to_json(sa C5,3)': '30f3b75caf8442708355737646981594e10f0f510f2f4b7cfaacd0fb04df935c',
     'pe_to_json(sa C9,3)': 'b9393c7fe3b8dd62656c2baa552379382af76417acf56481dae6b4349982917f',
     'protocol_tail_probabilities(K4,K4-e,T=3)': '6938bd612ebcc5279852a45c0100a05a7f0f8718fe1ff3d7b4471745dd3e423c',
+    'restriction_report(failing, no seed)': '163043912d9aeadca6822d71c952ade8b176fbae3e136ef624d33d444b3b5be7',
     'solve_lp(contradictory bounds)': 'ecf97d0a618fbff043a2c4f8d5a3afe122f76cb92b8872b4da7f1f18f53817c6',
     'solve_lp(minimize)': '2ea5176509409c2a495d38c1c32ad3d6455b8201bc176574e774f8f15e1f9285',
     'symmetric C3 metric(6) c=101/100': 'eb41a609191b6e9c75a6c9a892ec2acda1553eb3d5947d04dfe1ed69f8a4a850',
