@@ -365,10 +365,19 @@ def boolfn_from_json(text: str) -> BoolFn:
     if not isinstance(obj, dict) or "n" not in obj or "values" not in obj:
         raise InputError('expected {"n": ..., "values": [...]}')
     n = obj["n"]
-    if not isinstance(n, int):
+    if not isinstance(n, int) or isinstance(n, bool):
         raise InputError("n must be an integer")
     values = obj["values"]
     if not isinstance(values, list):
         raise InputError("values must be a list")
-    return BoolFn(n, [parse_rational(v) if isinstance(v, str) else Fraction(v)
-                      for v in values])
+    return BoolFn(n, [_json_rational(v) for v in values])
+
+
+def _json_rational(v: object) -> Fraction:
+    """A table value: "p/q" text or a JSON integer.  Floats, bools and null
+    are refused, as parse_rational refuses "0.5"."""
+    if isinstance(v, str):
+        return parse_rational(v)
+    if isinstance(v, int) and not isinstance(v, bool):
+        return Fraction(v)
+    raise InputError(f'values must be "p/q" strings or integers, got {v!r}')

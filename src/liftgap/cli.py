@@ -57,6 +57,13 @@ def _read_input(path: str) -> tuple[str, str]:
     return text, hashlib.sha256(text.encode()).hexdigest()
 
 
+def _write_output(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from None
+
+
 def _load_instance(path: str) -> tuple[Instance, str]:
     text, digest = _read_input(path)
     head = next((ln for ln in text.splitlines() if ln.strip()), "")
@@ -210,7 +217,7 @@ def _cmd_slack(args) -> None:
                         range(1 << n), corner="constraint")
     outputs = ["stdout"]
     if args.out:
-        Path(args.out).write_text(csv)
+        _write_output(args.out, csv)
         outputs = [args.out]
     _emit({
         "manifest": _manifest("slack", {"relaxation": args.relaxation, "n": n},
@@ -297,7 +304,7 @@ def _cmd_protocol(args) -> None:
                           ("manifest", csvs["manifest"])):
         ext = "json" if name == "manifest" else "csv"
         path = f"{prefix}_{name}.{ext}"
-        Path(path).write_text(content)
+        _write_output(path, content)
         written.append(path)
     _emit({
         "manifest": _manifest("protocol",
@@ -343,7 +350,7 @@ def _cmd_gen(args) -> None:
     else:  # pragma: no cover - argparse restricts choices
         raise InputError(f"unknown generator {args.kind}")
     if args.out:
-        Path(args.out).write_text(text)
+        _write_output(args.out, text)
     else:
         sys.stdout.write(text)
 

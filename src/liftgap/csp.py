@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .boolfn import BoolFn, fourier_transform
+from .boolfn import BoolFn, FourierCoeffs, fourier_transform
 from .caps import caps
 from .errors import InputError, ParseError, SizeCapError
 
@@ -120,32 +120,13 @@ def brute_force_opt(inst: Instance) -> tuple[Fraction, int]:
     return Fraction(best_sat, m), best_x
 
 
-@dataclass(frozen=True)
-class MultilinearPoly:
-    """Multilinear polynomial as a sparse map subset-mask -> coefficient."""
-    n: int
-    coeffs: dict[int, Fraction]
-
-    def degree(self) -> int:
-        return max((a.bit_count() for a in self.coeffs), default=0)
-
-    def get(self, mask: int) -> Fraction:
-        return self.coeffs.get(mask, Fraction(0))
-
-    def evaluate(self, x: int) -> Fraction:
-        total = Fraction(0)
-        for a, v in self.coeffs.items():
-            total += -v if (a & x).bit_count() & 1 else v
-        return total
-
-
 def _predicate_poly(pred: Predicate) -> dict[int, Fraction]:
     """Multilinear expansion of the 0/1 predicate over its k arguments."""
     table = BoolFn(pred.arity, [Fraction(1 if s else 0) for s in pred.table])
     return fourier_transform(table).coeffs
 
 
-def instance_polynomial(inst: Instance) -> MultilinearPoly:
+def instance_polynomial(inst: Instance) -> FourierCoeffs:
     """The value map as a multilinear polynomial: pairing it with the
     character vector of any assignment reproduces evaluate()."""
     m = len(inst.constraints)
@@ -163,17 +144,7 @@ def instance_polynomial(inst: Instance) -> MultilinearPoly:
                 j += 1
             acc[g] = acc.get(g, Fraction(0)) + coeff
     out = {a: v / m for a, v in acc.items() if v}
-    return MultilinearPoly(inst.n, out)
-
-
-def assignment_point(x: int, n: int, degree: int) -> MultilinearPoly:
-    """Character evaluation vector of an assignment up to the given
-    degree: coefficient chi_alpha(x) = +-1 on every |alpha| <= degree."""
-    coeffs: dict[int, Fraction] = {}
-    for a in range(1 << n):
-        if a.bit_count() <= degree:
-            coeffs[a] = Fraction(-1 if (a & x).bit_count() & 1 else 1)
-    return MultilinearPoly(n, coeffs)
+    return FourierCoeffs(inst.n, out)
 
 
 def plant(inst: Instance, positions: tuple[int, ...] | list[int], n: int) -> Instance:

@@ -5,12 +5,14 @@ r**(1/4).
 fractions.Fraction is the rational type of the public API; values are
 always in lowest terms with positive denominator, which the text form
 relies on.  Comparisons against root thresholds are done on squares and
-fourth powers so every verdict is an integer comparison.
+fourth powers so every verdict is an integer comparison.  json_value is
+the one mapping from report dataclasses to JSON.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import fields, is_dataclass
 from fractions import Fraction
 from typing import Callable, Union
 
@@ -21,6 +23,30 @@ def format_rational(x: Fraction | int) -> str:
     """Canonical text: 'p/q' in lowest terms, integers without '/1',
     sign on the numerator."""
     return str(x)
+
+
+def json_value(obj: object) -> object:
+    """The JSON form of a report value: a dataclass becomes an object
+    keyed by its field names in camelCase, a Fraction its "p/q" text, a
+    frozenset a sorted list, a tuple a list, a float its text with 12
+    significant digits; int, bool, str and None pass through."""
+    if is_dataclass(obj):
+        return {_camel_case(f.name): json_value(getattr(obj, f.name))
+                for f in fields(obj)}
+    if isinstance(obj, Fraction):
+        return format_rational(obj)
+    if isinstance(obj, frozenset):
+        return sorted(obj)
+    if isinstance(obj, tuple):
+        return [json_value(v) for v in obj]
+    if isinstance(obj, float):
+        return format(obj, ".12g")
+    return obj
+
+
+def _camel_case(name: str) -> str:
+    head, *rest = name.split("_")
+    return head + "".join(word[:1].upper() + word[1:] for word in rest)
 
 
 def parse_rational(text: str) -> Fraction:

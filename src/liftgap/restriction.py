@@ -43,8 +43,8 @@ from .caps import caps
 from .csp import Instance, dummy_extend, plant
 from .errors import (ExhaustedError, HypothesisError, InputError,
                      InternalError, ParameterError, SizeCapError)
-from .rationals import (QuarticThreshold, SqrtThreshold, format_rational,
-                        gamma_below_abs, upper_approx)
+from .rationals import (QuarticThreshold, SqrtThreshold, gamma_below_abs,
+                        json_value, upper_approx)
 from .sa import pe_apply, pe_plant, sa_value
 from .slack import (PolyhedralRelaxation, farkas_decompose, lp_value,
                     slack_functions, verify_decomposition)
@@ -68,6 +68,8 @@ def restriction_gamma(n: int, m: int, d: int, t: int) -> QuarticThreshold:
 
 def smoothness_exponent(n: int, d: int) -> int:
     """Smallest integer t with 2^t >= n^d."""
+    if d < 0:
+        raise ParameterError(f"need d >= 0, got d={d}")
     nd = n ** d
     t = (nd - 1).bit_length()
     return t
@@ -140,6 +142,8 @@ def check_restriction(densities: Sequence[Density], S: AbstractSet[int],
     """
     if len(S) != m:
         raise InputError(f"|S| = {len(S)} != m = {m}")
+    if t < 0:
+        raise ParameterError(f"smoothness exponent t = {t} must be >= 0")
     gamma = restriction_gamma(n, m, d, t)
     family_ok = len(densities) ** 2 <= n ** d
     sup_cap = 1 << t
@@ -413,7 +417,7 @@ class SymmetricCheckReport:
     decomposition_feasible: bool
     sa_base: Fraction
     c_minus_sa: Fraction
-    slack_records: tuple[SlackAntidiagonal, ...]  # empty when infeasible
+    slacks: tuple[SlackAntidiagonal, ...]  # empty when infeasible
     identity_checked: bool
     consistent: bool
 
@@ -526,95 +530,28 @@ def symmetric_contradiction_check(inst0: Instance, rel: PolyhedralRelaxation,
         relaxation=rel.name, instance=inst0.name or "instance", c=c, d=d,
         closure_checked_perms=checked, closure_ok=closure_ok,
         decomposition_feasible=decomposition.feasible, sa_base=sa_base,
-        c_minus_sa=c_minus_sa, slack_records=tuple(records),
+        c_minus_sa=c_minus_sa, slacks=tuple(records),
         identity_checked=identity_checked, consistent=consistent)
 
 
 # ---------------------------------------------------------------------------
-# JSON report serialization (rationals "p/q", floats with 12 digits)
+# JSON reports: rationals.json_value maps each report dataclass, with
+# camelCase keys, "p/q" rationals and floats with 12 digits
 # ---------------------------------------------------------------------------
-
-
-def _float_str(x: float) -> str:
-    return format(x, ".12g")
 
 
 def restriction_report_to_json(report: RestrictionReport,
                                master_seed: int | None = None) -> str:
-    obj = {
-        "S": sorted(report.S),
-        "n": report.n, "m": report.m, "d": report.d, "t": report.t,
-        "gammaFourth": format_rational(report.gamma_fourth),
-        "familySizeOk": report.family_size_ok,
-        "trialsUsed": report.trials_used,
-        "allPassed": report.all_passed,
-        "records": [{
-            "densityId": r.density_id,
-            "junta": sorted(r.junta),
-            "maxBadCoeff": format_rational(r.max_bad_coeff),
-            "passedJuntaBound": r.passed_junta_bound,
-            "passedCoeffBound": r.passed_coeff_bound,
-            "hypothesisError": r.hypothesis_error,
-        } for r in report.records],
-    }
+    obj = json_value(report)
+    obj["allPassed"] = report.all_passed
     if master_seed is not None:
         obj["seed"] = master_seed
     return json.dumps(obj, sort_keys=True)
 
 
 def main_report_to_json(report: MainInequalityReport) -> str:
-    obj = {
-        "relaxation": report.relaxation,
-        "instance": report.instance,
-        "n": report.n, "m": report.m, "d": report.d, "t": report.t,
-        "seed": report.seed,
-        "S": list(report.S),
-        "trialsUsed": report.trials_used,
-        "slackCount": report.slack_count,
-        "slackCountOk": report.slack_count_ok,
-        "familySizeOk": report.family_size_ok,
-        "smoothCount": report.smooth_count,
-        "roughCount": report.rough_count,
-        "droppedSlacks": list(report.dropped_slacks),
-        "lpPlanted": format_rational(report.lp_planted),
-        "saBase": format_rational(report.sa_base),
-        "lhs": format_rational(report.lhs),
-        "gammaFourth": format_rational(report.gamma_fourth),
-        "gammaUpper": format_rational(report.gamma_upper),
-        "rhs": format_rational(report.rhs),
-        "epsilonN": _float_str(report.epsilon_n),
-        "holds": report.holds,
-        "errorTerms": [{
-            "index": term.index,
-            "label": term.label,
-            "peOfError": format_rational(term.pe_of_error),
-            "coeffCap": format_rational(term.coeff_cap),
-            "withinCoeffCap": term.within_coeff_cap,
-            "withinGammaCap": term.within_gamma_cap,
-        } for term in report.error_terms],
-    }
-    return json.dumps(obj, sort_keys=True)
+    return json.dumps(json_value(report), sort_keys=True)
 
 
 def symmetric_report_to_json(report: SymmetricCheckReport) -> str:
-    obj = {
-        "relaxation": report.relaxation,
-        "instance": report.instance,
-        "c": format_rational(report.c),
-        "d": report.d,
-        "closureCheckedPerms": report.closure_checked_perms,
-        "closureOk": report.closure_ok,
-        "decompositionFeasible": report.decomposition_feasible,
-        "saBase": format_rational(report.sa_base),
-        "cMinusSa": format_rational(report.c_minus_sa),
-        "identityChecked": report.identity_checked,
-        "consistent": report.consistent,
-        "slacks": [{
-            "index": r.index,
-            "label": r.label,
-            "supportSize": r.support_size,
-            "isSmallJunta": r.is_small_junta,
-            "peValue": format_rational(r.pe_value),
-        } for r in report.slack_records],
-    }
-    return json.dumps(obj, sort_keys=True)
+    return json.dumps(json_value(report), sort_keys=True)

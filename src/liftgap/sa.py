@@ -22,7 +22,7 @@ from typing import Sequence
 
 from .boolfn import BoolFn, FourierCoeffs, fourier_transform, inverse_transform
 from .caps import caps
-from .csp import Instance, MultilinearPoly, instance_polynomial, is_maxcut
+from .csp import Instance, instance_polynomial, is_maxcut
 from .errors import (HypothesisError, InputError, InternalError,
                      ParameterError, SizeCapError)
 from .lp import LinearProgram, linear_program, solve_lp
@@ -61,15 +61,12 @@ class PseudoExpectation:
         return self.moments.get(alpha_mask, Fraction(0))
 
 
-def pe_apply(pe: PseudoExpectation,
-             f: BoolFn | FourierCoeffs | MultilinearPoly) -> Fraction:
+def pe_apply(pe: PseudoExpectation, f: BoolFn | FourierCoeffs) -> Fraction:
     """Apply the functional: coefficients above the locality are sent to
     zero (extension by zero)."""
     if isinstance(f, BoolFn):
         coeffs = fourier_transform(f).coeffs
     elif isinstance(f, FourierCoeffs):
-        coeffs = f.coeffs
-    elif isinstance(f, MultilinearPoly):
         coeffs = f.coeffs
     else:
         raise InputError("cannot apply functional to this object")
@@ -112,7 +109,7 @@ def sa_variable_masks(n: int, d: int) -> tuple[int, ...]:
     return tuple(m for m in _subsets_upto(n, d) if m)
 
 
-def build_sa_lp(n: int, d: int, objective: MultilinearPoly) -> LinearProgram:
+def build_sa_lp(n: int, d: int, objective: FourierCoeffs) -> LinearProgram:
     """The level-d LP: one free variable per mask in sa_variable_masks,
     and, for every subset S of size <= d and assignment a to S, the row
     sum_{alpha subset S} chi_alpha(a) X_alpha >= 0 with X_empty = 1
@@ -447,7 +444,7 @@ def vertex_to_edge(pe: PseudoExpectation) -> EdgeFunctional:
                     prod = va * vb
                     nxt[key] = prod if prev is None else prev + prod
             poly = nxt
-        moments[mono] = pe_apply(pe, MultilinearPoly(n, poly))
+        moments[mono] = pe_apply(pe, FourierCoeffs(n, poly))
     ef = EdgeFunctional(n, r, moments)
     report = check_edge_functional(ef)
     if not report.ok:

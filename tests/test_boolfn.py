@@ -199,6 +199,22 @@ def test_json_rejects_bad_length():
         boolfn_from_json('{"n": 1, "values": ["0.5", "1"]}')
 
 
+@pytest.mark.parametrize("doc", [
+    '{"n": 1, "values": [null, "1"]}',
+    '{"n": 1, "values": [0.1, "19/10"]}',
+    '{"n": 1, "values": [true, "1"]}',
+    '{"n": true, "values": ["1", "1"]}',
+], ids=["null", "float", "bool", "bool-n"])
+def test_json_rejects_non_rational_data(doc):
+    with pytest.raises(InputError):
+        boolfn_from_json(doc)
+
+
+def test_json_accepts_integer_values():
+    assert boolfn_from_json('{"n": 1, "values": [2, "-1/3"]}') == BoolFn(
+        1, [F(2), F(-1, 3)])
+
+
 def test_random_density_chang_bound():
     rng = random.Random(5)
     n, d, gamma = 6, 2, F(1, 4)

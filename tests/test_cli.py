@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -319,3 +320,44 @@ def test_malformed_family_is_input_error(capsys, tmp_path):
     _assert_input_error(*_run(capsys, "restrict", "--family", str(path),
                               "--n", "12", "--m", "3", "--d", "2",
                               "--seed", "1"))
+
+
+@pytest.mark.parametrize("bad", [None, 0.1, True], ids=["null", "float", "bool"])
+def test_family_value_must_be_rational(capsys, tmp_path, bad):
+    # were bad read as a number, the second value would make the mean 1
+    second = "1" if bad is None else str(2 - Fraction(bad))
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps(
+        [{"n": 12, "values": [bad, second] + ["1"] * 4094}]))
+    _assert_input_error(*_run(capsys, "restrict", "--family", str(path),
+                              "--n", "12", "--m", "3", "--d", "2",
+                              "--seed", "1"))
+
+
+@pytest.mark.parametrize("d, t", [("2", "-1"), ("-1", None)],
+                         ids=["negative-t", "negative-d"])
+def test_restrict_negative_parameter_is_parameter_error(capsys, tmp_path,
+                                                        d, t):
+    from liftgap.boolfn import BoolFn, boolfn_to_json
+    family = tmp_path / "family.json"
+    family.write_text("[" + boolfn_to_json(BoolFn.constant(12, 1)) + "]")
+    code, out, err = _run(capsys, "restrict", "--family", str(family),
+                          "--n", "12", "--m", "3", "--d", d, "--seed", "1",
+                          *(["--t", t] if t else []))
+    assert code == 1 and out == ""
+    assert "\n" not in err.strip()
+    assert json.loads(err)["error"] == "ParameterError"
+
+
+@pytest.mark.parametrize("argv", [
+    ["slack", "--relaxation", "metric", "--n", "3", "--out", "OUT/slack.csv"],
+    ["gen", "cycle", "--n", "5", "--out", "OUT/c5.graph"],
+    ["protocol", "--rows", "TRIANGLE", "--c", "7/8", "--s", "3/4", "--T", "2",
+     "--out-prefix", "OUT/proto"],
+], ids=["slack", "gen", "protocol"])
+def test_unwritable_output_is_input_error(capsys, tmp_path, triangle_file,
+                                          argv):
+    missing = str(tmp_path / "missing")
+    argv = [a.replace("OUT", missing).replace("TRIANGLE", triangle_file)
+            for a in argv]
+    _assert_input_error(*_run(capsys, *argv))

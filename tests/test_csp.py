@@ -2,9 +2,10 @@ from fractions import Fraction
 
 import pytest
 
+from liftgap.boolfn import inverse_transform
 from liftgap.errors import InputError, ParseError, SizeCapError
 from liftgap.csp import (CUT_PREDICATE, Constraint, Instance, Predicate,
-                         assignment_point, assignment_to_signs, brute_force_opt,
+                         assignment_to_signs, brute_force_opt,
                          complete, cycle, dummy_extend, evaluate, graph_instance,
                          instance_polynomial, parse_dimacs_cnf, parse_edge_list,
                          plant, random_3sat, random_graph, signs_to_assignment,
@@ -62,10 +63,9 @@ def test_pairing_identity_exhaustive(inst):
     poly = instance_polynomial(inst)
     k = max(p.arity for p in inst.predicates)
     assert poly.degree() <= k
+    values = inverse_transform(poly).values
     for x in range(1 << inst.n):
-        pt = assignment_point(x, inst.n, poly.degree())
-        paired = sum(v * pt.get(a) for a, v in poly.coeffs.items())
-        assert paired == evaluate(inst, x)
+        assert values[x] == evaluate(inst, x)
 
 
 def test_plant_examples():

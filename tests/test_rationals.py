@@ -1,3 +1,4 @@
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,7 @@ from liftgap.errors import InputError
 from liftgap.rationals import (QuarticThreshold, SqrtThreshold,
                                best_upper_rational, format_rational,
                                gamma_below_abs, gamma_count_within,
-                               parse_rational, upper_approx)
+                               json_value, parse_rational, upper_approx)
 
 
 def test_format_and_parse_roundtrip():
@@ -21,6 +22,34 @@ def test_format_and_parse_roundtrip():
 def test_parse_rejects(bad):
     with pytest.raises(InputError):
         parse_rational(bad)
+
+
+@dataclass(frozen=True)
+class _Inner:
+    pe_of_error: Fraction
+    hypothesis_error: str | None
+
+
+@dataclass(frozen=True)
+class _Outer:
+    S: frozenset[int]
+    trials_used: int
+    all_ok: bool
+    epsilon_n: float
+    records: tuple[_Inner, ...]
+
+
+def test_json_value_maps_nested_dataclass():
+    report = _Outer(S=frozenset({5, 1, 3}), trials_used=4, all_ok=True,
+                    epsilon_n=2 / 3,
+                    records=(_Inner(Fraction(-6, 4), None),
+                             _Inner(Fraction(2), "bad")))
+    assert json_value(report)["allOk"] is True
+    assert json_value(report) == {
+        "S": [1, 3, 5], "trialsUsed": 4, "allOk": True,
+        "epsilonN": "0.666666666667",
+        "records": [{"peOfError": "-3/2", "hypothesisError": None},
+                    {"peOfError": "2", "hypothesisError": "bad"}]}
 
 
 def test_sqrt_threshold_comparisons():

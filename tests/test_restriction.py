@@ -288,8 +288,8 @@ def test_symmetric_check_c_one_feasible():
     assert report.closure_ok and report.decomposition_feasible
     assert report.identity_checked
     assert report.consistent and report.c_minus_sa == 0
-    assert all(r.is_small_junta for r in report.slack_records)
-    assert all(r.pe_value >= 0 for r in report.slack_records)
+    assert all(r.is_small_junta for r in report.slacks)
+    assert all(r.pe_value >= 0 for r in report.slacks)
     assert '"consistent": true' in symmetric_report_to_json(report)
 
 

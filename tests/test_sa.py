@@ -4,10 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from liftgap.boolfn import BoolFn
-from liftgap.csp import (MultilinearPoly, brute_force_opt, cycle,
-                         graph_instance, instance_polynomial, plant,
-                         random_graph)
+from liftgap.boolfn import BoolFn, FourierCoeffs
+from liftgap.csp import (brute_force_opt, cycle, graph_instance,
+                         instance_polynomial, plant, random_graph)
 from liftgap.errors import HypothesisError, InputError, ParameterError
 from liftgap.sa import (EdgeFunctional, PseudoExpectation, build_edge_sa_lp,
                         build_sa_lp, check_edge_functional, check_lef,
@@ -35,16 +34,16 @@ def uniform_pe(n: int, d: int) -> PseudoExpectation:
 
 
 def test_build_sa_lp_level_one():
-    lp = build_sa_lp(1, 1, MultilinearPoly(1, {0b1: F(1)}))
+    lp = build_sa_lp(1, 1, FourierCoeffs(1, {0b1: F(1)}))
     rows = [(c.coeffs, c.relation, c.rhs) for c in lp.constraints]
     assert rows == [((F(1),), ">=", F(-1)), ((F(-1),), ">=", F(-1))]
 
 
 def test_build_sa_lp_guards():
     with pytest.raises(ParameterError):
-        build_sa_lp(1, 2, MultilinearPoly(1, {}))
+        build_sa_lp(1, 2, FourierCoeffs(1, {}))
     with pytest.raises(HypothesisError):
-        build_sa_lp(3, 1, MultilinearPoly(3, {0b111: F(1)}))
+        build_sa_lp(3, 1, FourierCoeffs(3, {0b111: F(1)}))
 
 
 def test_single_edge_level_two():
@@ -127,7 +126,7 @@ def test_pe_plant():
     planted_pe = pe_plant(pe, (2, 4, 5), 6)
     planted = plant(cycle(3), (2, 4, 5), 6)
     assert pe_apply(planted_pe, instance_polynomial(planted)) == value
-    assert pe_apply(planted_pe, MultilinearPoly(6, {0b1: F(1)})) == 0
+    assert pe_apply(planted_pe, FourierCoeffs(6, {0b1: F(1)})) == 0
     assert check_lef(planted_pe).ok
 
 
