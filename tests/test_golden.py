@@ -226,6 +226,10 @@ OUTPUTS = {
     "restriction_report(failing, no seed)": _failing_restriction_text,
     "main_report(universal(12,2),C3,d=2,seed=1)": lambda: main_report_to_json(
         main_inequality_experiment(universal(12, 2), cycle(3), 2, 1)),
+    "main_report(universal(12,2),C3,d=2,seed=7)": lambda: main_report_to_json(
+        main_inequality_experiment(universal(12, 2), cycle(3), 2, 7)),
+    "main_report(metric(12),P3,d=2,seed=2)": lambda: main_report_to_json(
+        main_inequality_experiment(metric_maxcut(12), _P3, 2, 2)),
     "edge_sa_solve(C5,2)": lambda: edge_functional_to_json(
         edge_sa_solve(cycle(5), 2)[1]),
     "pe_to_json(sa C9,3)": lambda: pe_to_json(sa_value(cycle(9), 3)[1]),
@@ -277,7 +281,9 @@ GOLDEN = {
     'edge_to_vertex(cut mixture n=4,r=2)': '0ffa87111c6d7611ada5581d51ec0a15946a77f97b10e46ef9bacef853981584',
     'farkas_feasibility(x+y=-2, y>=0)': 'ae8591b4bcfe745af5f878c1d5e97c30c3bee0141a8f935fc2cc48cd43cd74a3',
     'farkas_feasibility(x=-1, x>=0)': '15a9fa9e607637c95c2089f89335b9d54736ecc2d6c82e22f8670b5aebc4df69',
+    'main_report(metric(12),P3,d=2,seed=2)': '4fc9652041b43b4d3f1ef91575507248565d9c7f01719bc5ffafe8f0bd3b1579',
     'main_report(universal(12,2),C3,d=2,seed=1)': '750bf9feb6e4afbcb4e92599e92022542eead0325534136f6c6c76ecfa628fa4',
+    'main_report(universal(12,2),C3,d=2,seed=7)': '66271a478222f4178bb85f46f2373c46c7765f58a271bb8d41c4b0ed70ace45e',
     'pe_to_json(sa 3sat(4,6,seed=2),3)': 'a5a3aa3194aa4165556f0344f814dc3c7419924b268bced28b50c345e2e783dc',
     'pe_to_json(sa 3sat(7,25,seed=1),3)': 'fa41a35a926d5dc9725a9a6a1159f485f93ed2e0c8259be5edc8157c3b50080e',
     'pe_to_json(sa C3,2)': '8baec360f5e621c9bb61704f54da7a9e9436632b8161d18e598d0c0f3ae45ffe',
