@@ -16,8 +16,14 @@ match the instance file formats; subset bitmasks tie variable i to bit
 i-1, consistent with the table indexing.
 
 The transform is the integer butterfly on the numerators, so it is exact
-and fast; entropy is the single deliberately floating-point quantity in
-the package.
+and fast.  Its nonzero integer entries are cached on the table, and the
+coefficients as Fractions are built from them on first read.  A table
+may arrive with its integer spectrum already known: slack.slack_functions
+derives each slack's from its row, as the rhs at mask 0 minus the row's
+combination of the transformed coordinate columns, and `scaled` carries
+a known spectrum over times the factor, so the densities made from
+slacks are never transformed.  Entropy is the single deliberately
+floating-point quantity in the package.
 """
 
 from __future__ import annotations
@@ -62,7 +68,8 @@ class BoolFn:
     """Function {-1,1}^n -> Q as the table nums[i] / den; immutable by
     convention."""
 
-    __slots__ = ("n", "nums", "den", "_values", "_coeffs", "_mean", "_sup")
+    __slots__ = ("n", "nums", "den", "_values", "_spectrum", "_coeffs",
+                 "_mean", "_sup")
 
     def __init__(self, n: int, values: Sequence[Fraction]):
         fracs = [v if type(v) is Fraction else Fraction(v) for v in values]
@@ -98,6 +105,7 @@ class BoolFn:
         self.nums = tuple(nums)
         self.den = den
         self._values = None
+        self._spectrum = None
         self._coeffs = None
         self._mean = None
         self._sup = None
@@ -137,8 +145,14 @@ class BoolFn:
         if factor == 1:
             return self
         p = factor.numerator
-        return BoolFn.from_ints(self.n, [v * p for v in self.nums],
-                                self.den * factor.denominator)
+        out = BoolFn.from_ints(self.n, [v * p for v in self.nums],
+                               self.den * factor.denominator)
+        if self._spectrum is not None and p:
+            # the transform is linear, so the spectrum scales with the table
+            entries, scale = self._spectrum
+            out._spectrum = ([(a, s * p) for a, s in entries],
+                             scale * factor.denominator)
+        return out
 
     @staticmethod
     def constant(n: int, value: Fraction | int) -> "BoolFn":
@@ -181,16 +195,23 @@ def _butterfly(vals: Sequence[int]) -> list[int]:
     return out
 
 
+def _cache_spectrum(f: BoolFn, spectrum: Iterable[tuple[int, int]],
+                    scale: int) -> None:
+    """Cache on f its integer spectrum, given as (mask, s) pairs in
+    increasing mask order: the coefficient at mask a is s / scale.  Zero
+    entries are left out."""
+    f._spectrum = ([(a, s) for a, s in spectrum if s], scale)
+
+
 def fourier_transform(f: BoolFn) -> FourierCoeffs:
     """Exact coefficients; inverse_transform is the exact inverse."""
-    if f._coeffs is not None:
-        return f._coeffs
-    spectrum = _butterfly(f.nums)
-    scale = f.den << f.n
-    coeffs = {a: Fraction(s, scale) for a, s in enumerate(spectrum) if s}
-    result = FourierCoeffs(f.n, coeffs)
-    f._coeffs = result
-    return result
+    if f._coeffs is None:
+        if f._spectrum is None:
+            _cache_spectrum(f, enumerate(_butterfly(f.nums)), f.den << f.n)
+        entries, scale = f._spectrum
+        f._coeffs = FourierCoeffs(f.n, {a: Fraction(s, scale)
+                                        for a, s in entries})
+    return f._coeffs
 
 
 def inverse_transform(c: FourierCoeffs) -> BoolFn:

@@ -55,6 +55,11 @@ log = logging.getLogger(__name__)
 _TRIAL_STRIDE = 0x9E3779B97F4A7C15
 _SEED_MOD = 1 << 64
 
+# shared by the many records whose junta or error term is empty or zero,
+# so that reports kept in memory hold no copies of them
+_NO_VARS: frozenset[int] = frozenset()
+_ZERO = Fraction(0)
+
 
 def trial_seed(master_seed: int, trial_index: int) -> int:
     return (master_seed + _TRIAL_STRIDE * trial_index) % _SEED_MOD
@@ -89,7 +94,7 @@ def sample_restriction(n: int, m: int, seed: int) -> frozenset[int]:
             return frozenset(chosen[:m])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RestrictionRecord:
     density_id: int
     junta: frozenset[int]          # J(q) = (extracted junta) intersect S
@@ -145,6 +150,7 @@ def check_restriction(densities: Sequence[Density], S: AbstractSet[int],
     if t < 0:
         raise ParameterError(f"smoothness exponent t = {t} must be >= 0")
     gamma = restriction_gamma(n, m, d, t)
+    S = frozenset(S)
     family_ok = len(densities) ** 2 <= n ** d
     sup_cap = 1 << t
     records = []
@@ -158,15 +164,15 @@ def check_restriction(densities: Sequence[Density], S: AbstractSet[int],
         if not cert.success and err is None:
             err = (f"{len(cert.violations)} independent large coefficients "
                    f"exceed the 2t/gamma^2 budget")
-        junta = frozenset(cert.junta) & frozenset(S)
+        junta = cert.junta & S or _NO_VARS
         max_bad = max((abs(v) for _, v in _stray_coeffs(q, S, junta, d)),
-                      default=Fraction(0))
+                      default=_ZERO)
         records.append(RestrictionRecord(
             density_id=i, junta=junta, max_bad_coeff=max_bad,
             passed_junta_bound=len(junta) <= d,
             passed_coeff_bound=not gamma_below_abs(gamma, max_bad),
             hypothesis_error=err))
-    return RestrictionReport(S=frozenset(S), n=n, m=m, d=d, t=t,
+    return RestrictionReport(S=S, n=n, m=m, d=d, t=t,
                              gamma_fourth=gamma.fourth_power,
                              records=tuple(records), family_size_ok=family_ok)
 
@@ -220,7 +226,7 @@ def epsilon_formula(n: int, m: int, d: int) -> float:
     return mc * (math.sqrt(16 * m * t * d) / n ** 0.25 + n ** (-d / 2))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SlackErrorTerm:
     index: int                     # inequality index in the relaxation
     label: str
@@ -307,12 +313,12 @@ def main_inequality_experiment(rel: PolyhedralRelaxation, inst0: Instance,
     mc = math.comb(m, d)
     terms = []
     for rec, i in zip(rep.records, smooth_ids):
-        pe_err = Fraction(0)
+        pe_err = _ZERO
         for alpha, v in _stray_coeffs(smooth[rec.density_id], S, rec.junta, d):
             mv = pe_planted.moments.get(alpha)
             if mv:
                 pe_err += v * mv
-        cap = mc * rec.max_bad_coeff
+        cap = mc * rec.max_bad_coeff if rec.max_bad_coeff else _ZERO
         terms.append(SlackErrorTerm(
             index=i, label=rel.labels[i], pe_of_error=pe_err, coeff_cap=cap,
             within_coeff_cap=abs(pe_err) <= cap,
@@ -419,7 +425,7 @@ class SymmetricCheckReport:
     c_minus_sa: Fraction
     slacks: tuple[SlackAntidiagonal, ...]  # empty when infeasible
     identity_checked: bool
-    consistent: bool
+    consistent: bool               # true on every report returned
 
 
 def verify_symmetry_closure(slacks: Sequence[BoolFn], n: int) -> tuple[int, bool]:
@@ -477,7 +483,10 @@ def symmetric_contradiction_check(inst0: Instance, rel: PolyhedralRelaxation,
     functional is nonnegative on it, and applying the functional to the
     decomposition identity would prove c >= level-d value.  A feasible
     decomposition below the value through a slack whose restriction is no
-    small junta is a HypothesisError; through small juntas only, a bug."""
+    small junta is a HypothesisError; through small juntas only, a bug.
+    Every other outcome is consistent: the argument rules out only a
+    feasible decomposition below the value, and above it the relaxation
+    may be weaker than level d, so its decomposition may be infeasible."""
     c = Fraction(c)
     n = rel.n
     if n != 2 * inst0.n:
@@ -508,11 +517,8 @@ def symmetric_contradiction_check(inst0: Instance, rel: PolyhedralRelaxation,
                                     decomposition.lam, restrictions):
             raise InternalError("antidiagonal identity violated")
         identity_checked = True
-        consistent = c_minus_sa >= 0
-    else:
-        consistent = c_minus_sa < 0
 
-    if not consistent and decomposition.feasible:
+    if decomposition.feasible and c_minus_sa < 0:
         # feasible below the level-d value: the contradiction's hypothesis
         # fails unless every slack the decomposition uses is a small junta
         for r, lam in zip(records, decomposition.lam):
@@ -522,16 +528,15 @@ def symmetric_contradiction_check(inst0: Instance, rel: PolyhedralRelaxation,
                     f"through slack {r.index} ({r.label}) with multiplier "
                     f"{lam}, whose antidiagonal restriction depends on "
                     f"{r.support_size} > d = {d} coordinates")
-    if not consistent:
         raise InternalError(
-            "outcome inconsistent with the level-d value: feasible="
-            f"{decomposition.feasible}, c - value = {c_minus_sa}")
+            "outcome inconsistent with the level-d value: feasible below "
+            f"it, c - value = {c_minus_sa}")
     return SymmetricCheckReport(
         relaxation=rel.name, instance=inst0.name or "instance", c=c, d=d,
         closure_checked_perms=checked, closure_ok=closure_ok,
         decomposition_feasible=decomposition.feasible, sa_base=sa_base,
         c_minus_sa=c_minus_sa, slacks=tuple(records),
-        identity_checked=identity_checked, consistent=consistent)
+        identity_checked=identity_checked, consistent=True)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
-from .boolfn import BoolFn
+from .boolfn import BoolFn, _butterfly, _cache_spectrum
 from .caps import caps
 from .csp import (Instance, brute_force_opt, evaluate, instance_polynomial,
                   is_maxcut)
@@ -154,8 +154,11 @@ def universal(n: int, d: int) -> PolyhedralRelaxation:
                      zero))
         labels.append(f"ind(S={s_mask},a={minus})")
 
+    minus_one = -one
+
     def embed_assignment(x: int) -> tuple[Fraction, ...]:
-        return tuple(-one if (m & x).bit_count() & 1 else one for m in masks)
+        return tuple(minus_one if (m & x).bit_count() & 1 else one
+                     for m in masks)
 
     def embed_instance(inst: Instance) -> tuple[Fraction, ...]:
         if inst.n != n:
@@ -222,27 +225,45 @@ def slack_functions(rel: PolyhedralRelaxation) -> tuple[BoolFn, ...]:
     """One table per inequality: q_i(x) = b_i - <A_i, x~>.  A negative
     entry would mean an embedded assignment outside the polyhedron, which
     is rejected; computing the tables therefore doubles as the exhaustive
-    point-feasibility check.  Tables are cached on the relaxation."""
+    point-feasibility check.  Tables are cached on the relaxation.
+
+    Each table comes with its Fourier spectrum cached.  The transform is
+    linear, so spec(q_i) is b_i at mask 0 minus sum_e a_ie spec(col_e):
+    each coordinate column that some row uses is transformed once, and
+    its few nonzero entries are combined per row, in place of one
+    transform per table."""
     if rel._slacks is not None:
         return rel._slacks
-    if rel.n > caps().slack_table_n:
-        raise SizeCapError(f"n = {rel.n} exceeds slack table cap")
+    n = rel.n
+    if n > caps().slack_table_n:
+        raise SizeCapError(f"n = {n} exceeds slack table cap")
     cols, den = rel.point_columns()
-    size = 1 << rel.n
+    size = 1 << n
+    col_spectra: dict[int, list[tuple[int, int]]] = {}
     out = []
     for i, (row, rhs) in enumerate(rel.inequalities):
         # with L = scale, the row's common denominator:
-        # L * den * q_i = (L b) den - sum_e (L a_e) cols[e], all integers
+        # L * den * q_i = (L b) den - sum_e (L a_e) cols[e], all integers,
+        # and the butterfly of the constant (L b) den is (L b) den 2^n at 0
         scale = math.lcm(rhs.denominator, *(a.denominator for a in row.values()))
-        table = [rhs.numerator * (scale // rhs.denominator) * den] * size
+        b_int = rhs.numerator * (scale // rhs.denominator) * den
+        table = [b_int] * size
+        spectrum = {0: b_int << n}
         for e, a in row.items():
             a_int = a.numerator * (scale // a.denominator)
             table = [t - a_int * c for t, c in zip(table, cols[e])]
+            if e not in col_spectra:
+                col = _butterfly(cols[e])
+                col_spectra[e] = [(m, s) for m, s in enumerate(col) if s]
+            for m, s in col_spectra[e]:
+                spectrum[m] = spectrum.get(m, 0) - a_int * s
         if min(table) < 0:
             raise InternalError(
                 f"{rel.name}: an embedded assignment violates row {i} "
                 f"({rel.labels[i]})")
-        out.append(BoolFn.from_ints(rel.n, table, scale * den))
+        q = BoolFn.from_ints(n, table, scale * den)
+        _cache_spectrum(q, sorted(spectrum.items()), (scale * den) << n)
+        out.append(q)
     rel._slacks = tuple(out)
     return rel._slacks
 

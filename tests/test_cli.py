@@ -176,6 +176,19 @@ def test_symmetric_check_command(capsys, triangle_file):
     assert doc["report"]["consistent"] is True
 
 
+@pytest.mark.parametrize("d", ["3", "7"])
+def test_symmetric_check_infeasible_above_value(capsys, triangle_file, d):
+    # the level-d value of C3 is 2/3 for d >= 3, below c = 99/100, but
+    # universal:2 is weaker than level d and has no decomposition at c
+    code, out, err = _run(capsys, "symmetric-check", "--inst0", triangle_file,
+                          "--c", "99/100", "--d", d)
+    assert code == 0, err
+    report = json.loads(out)["report"]
+    assert report["decompositionFeasible"] is False
+    assert report["cMinusSa"] == "97/300"
+    assert report["consistent"] is True
+
+
 def _assert_hypothesis_error(code, out, err):
     assert code == 1 and out == ""
     assert "\n" not in err.strip()

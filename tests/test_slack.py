@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from liftgap.boolfn import BoolFn, fourier_transform
 from liftgap.csp import (brute_force_opt, complete, cycle, evaluate,
                          graph_instance, plant, random_3sat)
 from liftgap.errors import (CertificationError, InputError, InternalError,
@@ -105,6 +106,31 @@ def test_slack_tables_match_definition():
                 == _slacks_from_definition(rel))
     # same polyhedron, objective doubled
     assert lp_value(_rescaled_metric4(F(1, 2)), cycle(4)) == 2
+
+
+def _butterfly_items(f):
+    """The coefficients of a fresh copy of f, transformed by the butterfly,
+    in the order it emits them."""
+    return list(fourier_transform(BoolFn.from_ints(f.n, f.nums, f.den))
+                .coeffs.items())
+
+
+@pytest.mark.parametrize("rel", [
+    *(metric_maxcut(n) for n in range(3, 7)),
+    *(universal(n, d) for n in range(3, 7) for d in range(min(n, 3) + 1)),
+    _rescaled_metric4(F(1, 2)),
+], ids=repr)
+def test_row_spectra_equal_the_butterfly(rel):
+    # slack_functions builds each spectrum from the row and the transformed
+    # coordinate columns; scaled carries it over times the factor
+    for q in slack_functions(rel):
+        items = _butterfly_items(q)
+        assert list(fourier_transform(q).coeffs.items()) == items
+        for r in (F(2, 3), F(-5), 1 / q.mean() if q.mean() else F(7)):
+            scaled = list(fourier_transform(q.scaled(r)).coeffs.items())
+            assert scaled == [(a, v * r) for a, v in items]
+            assert scaled == _butterfly_items(q.scaled(r))
+        assert not fourier_transform(q.scaled(0)).coeffs
 
 
 def test_embedding_checks_raise_internal_error():
