@@ -18,6 +18,7 @@ import contextlib
 import dataclasses
 import hashlib
 import io
+import json
 import os
 import sys
 import tempfile
@@ -30,7 +31,7 @@ from liftgap.boolfn import (BoolFn, Density, FourierCoeffs, boolfn_to_json,
 from liftgap.cli import main
 from liftgap.lp import farkas_feasibility, linear_program, solve_lp
 from liftgap.csp import (complete, cycle, graph_instance, instance_polynomial,
-                         random_3sat, write_edge_list)
+                         random_3sat, write_dimacs, write_edge_list)
 from liftgap.restriction import (check_restriction,
                                  main_inequality_experiment,
                                  main_report_to_json,
@@ -97,15 +98,16 @@ def _tail_csv(T: int) -> str:
 
 
 def _cli(argv: list[str], inputs: dict[str, str] | None = None,
-         outputs: tuple[str, ...] = ()) -> str:
+         outputs: tuple[str, ...] = (), stdin: str = "") -> str:
     """stdout of the CLI run in a fresh directory holding the input files,
-    followed by the files it wrote there."""
+    with stdin as standard input, followed by the files it wrote there."""
     with tempfile.TemporaryDirectory() as tmp:
         for name, text in (inputs or {}).items():
             with open(os.path.join(tmp, name), "w") as fh:
                 fh.write(text)
-        cwd = os.getcwd()
+        cwd, saved_stdin = os.getcwd(), sys.stdin
         os.chdir(tmp)
+        sys.stdin = io.StringIO(stdin)
         try:
             out = io.StringIO()
             with contextlib.redirect_stdout(out):
@@ -116,6 +118,7 @@ def _cli(argv: list[str], inputs: dict[str, str] | None = None,
                     texts.append(f"{name}\n{fh.read()}")
         finally:
             os.chdir(cwd)
+            sys.stdin = saved_stdin
     return "\n".join(texts)
 
 
@@ -141,6 +144,15 @@ def _failing_restriction_text() -> str:
         12, {0: F(1), 1: F(1, 4), 2: F(1, 4), 4: F(1, 4)})))
     return restriction_report_to_json(
         check_restriction([q], {1, 2, 3}, d=2, t=0, m=3, n=12))
+
+
+def _metric_file(n: int) -> str:
+    """metric(n)'s rows as a relaxation file, dense and labelled."""
+    rel = metric_maxcut(n)
+    return json.dumps({"embed": "metric", "inequalities": [
+        {"coeffs": [str(row.get(e, 0)) for e in range(rel.dim)],
+         "b": str(b), "label": label}
+        for (row, b), label in zip(rel.inequalities, rel.labels)]})
 
 
 _PROTOCOL_FILES = tuple(f"out_{name}.{ext}" for name, ext in (
@@ -254,6 +266,28 @@ OUTPUTS = {
     "cli restrict n=12 m=3 d=2 seed=1": lambda: _cli(
         ["restrict", "--family", "densities.json", "--n", "12", "--m", "3",
          "--d", "2", "--seed", "1"], {"densities.json": _restrict_family()}),
+    # one case per manifest shape the cases above leave out
+    "cli opt C5": lambda: _cli(
+        ["opt", "c5.graph"], {"c5.graph": write_edge_list(cycle(5))}),
+    "cli opt 3sat(5,8,seed=1) dimacs": lambda: _cli(
+        ["opt", "f.cnf"], {"f.cnf": write_dimacs(random_3sat(5, 8, 1))}),
+    "cli opt C3 stdin": lambda: _cli(
+        ["opt", "-"], stdin=write_edge_list(cycle(3))),
+    "cli sa C5 rounds 2": lambda: _cli(
+        ["sa", "c5.graph", "--rounds", "2"],
+        {"c5.graph": write_edge_list(cycle(5))}),
+    "cli gen gnp n=6 p=1/2 seed=3": lambda: _cli(
+        ["gen", "gnp", "--n", "6", "--p", "1/2", "--seed", "3"]),
+    "cli lp C5 file:metric": lambda: _cli(
+        ["lp", "c5.graph", "--relaxation", "file:rel.json"],
+        {"c5.graph": write_edge_list(cycle(5)), "rel.json": _metric_file(5)}),
+    "cli slack metric n=3 --out": lambda: _cli(
+        ["slack", "--relaxation", "metric", "--n", "3", "--out", "s.csv"],
+        outputs=("s.csv",)),
+    "cli restrict n=12 m=3 d=2 t=1 max-trials=5 seed=2": lambda: _cli(
+        ["restrict", "--family", "densities.json", "--n", "12", "--m", "3",
+         "--d", "2", "--t", "1", "--max-trials", "5", "--seed", "2"],
+        {"densities.json": _restrict_family()}),
 }
 
 GOLDEN = {
@@ -266,12 +300,20 @@ GOLDEN = {
     'cli farkas K4 metric c=1/2': '61314111fa8cbbff9b1b3932fe31da4c2286d578410994f3f1cf6efbb67d7f17',
     'cli farkas K4 metric c=2/3': 'a474110bbffefc8c2659e8ae07b533da6b48a009167edea9fcb77b222af50a06',
     'cli farkas K4 universal:2 c=3/5': 'd9bd6f360854a79a84e092ac6cf2e78f1113e1aa5e9c9308da913a3cadbd2c92',
+    'cli gen gnp n=6 p=1/2 seed=3': '7d0545b7703bef863f022aa8cfcd3249493b4acc9e7e1842bce1267923f3d1eb',
+    'cli lp C5 file:metric': 'dad2548ba77adff28d85e08be656e7986af84cfe4c1c8a730f3aa36d826eddfe',
     'cli lp C5 metric': '40c2687be777ce3337cb31bb9e76416a0ae64650b7ea1837c25936c7209114a9',
     'cli main-ineq metric C3 n=12 d=2 seed=1': '344be4c4114486308478306cf2dddd52b2c0132c13cf8dc3b26d2056b16220e4',
+    'cli opt 3sat(5,8,seed=1) dimacs': 'd369566af6a37c0d9b3f5c5aef7308749e0e0a4f479f283c6ad5157772c625bb',
+    'cli opt C3 stdin': 'b79b7fa200666f828dd4c7633d01e005649eaf583036e44c7fab04e6eb15e644',
+    'cli opt C5': '278a61c16c1cbffca697102ab40938fa76e9b63dfaad8abc263169c3c6e320dd',
     'cli protocol C4,K4-e T=2': '86a338db15a15e9c3011e68952faadc3bab5f876325c064e86952cc07a3dbc14',
     'cli protocol K4,K4-e T=2': '89de0c53796f6504f45ec6abf3abed4ae4336f4f97a09d692ed3eae6f60135b3',
     'cli restrict n=12 m=3 d=2 seed=1': '2473a45188ad9d2dba4196812904965a32589f5b41934e7b38b87b3b7838e28e',
+    'cli restrict n=12 m=3 d=2 t=1 max-trials=5 seed=2': '8d865892dd649acbeb34922d9def5dd510980b64088410067973dd5d6ab59d2c',
+    'cli sa C5 rounds 2': '0c35bdb8d601aee9831646b662134ae5d9584b62b9460d6a0132fcdc016c1813',
     'cli sa-edge C4 level 1': 'b24993bc47a1ed87c1a7730cee237ab892563687e3f3cb09456bd0abfc88dfc4',
+    'cli slack metric n=3 --out': '873899c2a97620887051bf23f2ec20bae5c9d9f6858647e20d5f3a2d586a6e31',
     'cli slack metric n=4': '022e4bb510f3bdbf53997cdf553dab88f8fb474e0aa6c8086fab7ebb37674782',
     'cli slack universal:2 n=4': '4c4dd64533f2e9bd2148acbfb239d935e9a95eac1476d870a88bf323b04a068a',
     'cli symmetric-check C3 c=99/100': 'fbf79ceefbd1983c3df85fb22bcd386c5a5922beb2d8eec32a2e08232d7406c4',
