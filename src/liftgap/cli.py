@@ -22,7 +22,7 @@ from .csp import (Instance, assignment_to_signs, brute_force_opt, complete,
                   cycle, parse_dimacs_cnf, parse_edge_list, random_3sat,
                   random_graph, write_dimacs, write_edge_list)
 from .errors import InputError, InternalError, LiftgapError
-from .rationals import format_rational, parse_rational
+from .rationals import camel_case, format_rational, parse_rational
 from .restriction import (find_good_restriction,
                           main_inequality_experiment, main_report_to_json,
                           restriction_report_to_json, smoothness_exponent,
@@ -45,8 +45,8 @@ class _JsonArgumentParser(argparse.ArgumentParser):
         raise SystemExit(2)
 
 
-def _read_input(path: str) -> tuple[str, str]:
-    """Returns (text, digest); '-' reads stdin (digest of what was read)."""
+def _read_input(path: str, digests: dict[str, str]) -> str:
+    """The text at path ('-' reads stdin); records its sha256 in digests."""
     if path == "-":
         text = sys.stdin.read()
     else:
@@ -54,7 +54,8 @@ def _read_input(path: str) -> tuple[str, str]:
             text = Path(path).read_text()
         except OSError as exc:
             raise InputError(f"cannot read {path}: {exc}") from None
-    return text, hashlib.sha256(text.encode()).hexdigest()
+    digests[path] = hashlib.sha256(text.encode()).hexdigest()
+    return text
 
 
 def _write_output(path: str, text: str) -> None:
@@ -64,12 +65,12 @@ def _write_output(path: str, text: str) -> None:
         raise InputError(f"cannot write {path}: {exc}") from None
 
 
-def _load_instance(path: str) -> tuple[Instance, str]:
-    text, digest = _read_input(path)
+def _load_instance(path: str, digests: dict[str, str]) -> Instance:
+    text = _read_input(path, digests)
     head = next((ln for ln in text.splitlines() if ln.strip()), "")
     if head.startswith(("p ", "c", "p\t")):
-        return parse_dimacs_cnf(text), digest
-    return parse_edge_list(text), digest
+        return parse_dimacs_cnf(text)
+    return parse_edge_list(text)
 
 
 def _load_json(text: str, what: str):
@@ -79,18 +80,18 @@ def _load_json(text: str, what: str):
         raise InputError(f"{what}: bad JSON: {exc}") from None
 
 
-def _relaxation(spec: str, n: int) -> tuple[PolyhedralRelaxation, dict]:
+def _relaxation(spec: str, n: int,
+                digests: dict[str, str]) -> PolyhedralRelaxation:
     if spec == "metric":
-        return metric_maxcut(n), {}
+        return metric_maxcut(n)
     if spec.startswith("universal:"):
         level = spec.split(":", 1)[1]
         if not level.isdecimal():
             raise InputError(f"bad level in relaxation {spec!r}")
-        return universal(n, int(level)), {}
+        return universal(n, int(level))
     if spec.startswith("file:"):
         path = spec.split(":", 1)[1]
-        text, digest = _read_input(path)
-        obj = _load_json(text, path)
+        obj = _load_json(_read_input(path, digests), path)
         try:
             embed, inequalities = obj["embed"], obj["inequalities"]
             rows = [(row["coeffs"], parse_rational(row["b"]))
@@ -107,74 +108,67 @@ def _relaxation(spec: str, n: int) -> tuple[PolyhedralRelaxation, dict]:
             raise InputError(f"{path}: labels must be strings")
         if not all(isinstance(coeffs, list) for coeffs, _ in rows):
             raise InputError(f'{path}: "coeffs" must be a JSON array')
-        base, _ = _relaxation(embed, n)
+        base = _relaxation(embed, n, digests)
         if any(len(coeffs) != base.dim for coeffs, _ in rows):
             raise InputError(f"{path}: every row needs {base.dim} coefficients")
         rows = [({e: a for e, a in enumerate(map(parse_rational, coeffs))
                   if a}, b) for coeffs, b in rows]
-        rel = PolyhedralRelaxation(f"file:{path}", n, base.dim, rows, labels,
-                                   base.assignment_embed, base.instance_embed)
-        return rel, {path: digest}
+        return PolyhedralRelaxation(f"file:{path}", n, base.dim, rows, labels,
+                                    base.assignment_embed, base.instance_embed)
     raise InputError(f"unknown relaxation {spec!r}; "
                      "use metric, universal:<d>, or file:<path>")
 
 
-def _manifest(command: str, params: dict, digests: dict, seed=None,
-              outputs=None) -> dict:
-    return {
-        "command": command,
-        "parameters": params,
-        "seed": seed,
+_NOT_PARAMETERS = frozenset({"command", "func", "seed", "out"})
+
+
+def _emit(args, digests: dict[str, str], payload: dict,
+          outputs: list[str] | None = None) -> None:
+    """Print payload with the run manifest as one JSON document.
+
+    The manifest is built from the parsed arguments and the files read:
+    "command" is the subcommand; "parameters" holds every parsed option
+    under its camelCase name, except the seed, which is the "seed" member
+    (null for a command without one), and --out, which is an output: the
+    "outputs" list names the files written in place of "stdout".
+    "inputDigests" maps each file read to its sha256, stdin under "-"."""
+    manifest = {
+        "command": args.command,
+        "parameters": {camel_case(k): v for k, v in vars(args).items()
+                       if k not in _NOT_PARAMETERS},
+        "seed": getattr(args, "seed", None),
         "inputDigests": digests,
         "version": __version__,
         "outputs": outputs or ["stdout"],
     }
+    print(json.dumps({**payload, "manifest": manifest}, sort_keys=True))
 
 
-def _emit(payload: dict) -> None:
-    print(json.dumps(payload, sort_keys=True))
-
-
-def _cmd_opt(args) -> None:
-    inst, digest = _load_instance(args.instance)
+def _cmd_opt(args, digests: dict[str, str]) -> None:
+    inst = _load_instance(args.instance, digests)
     value, witness = brute_force_opt(inst)
-    _emit({
-        "manifest": _manifest("opt", {"instance": args.instance},
-                              {args.instance: digest}),
-        "value": format_rational(value),
-        "witness": assignment_to_signs(witness, inst.n),
-    })
+    _emit(args, digests, {"value": format_rational(value),
+                          "witness": assignment_to_signs(witness, inst.n)})
 
 
-def _cmd_sa(args) -> None:
-    inst, digest = _load_instance(args.instance)
-    value, pe = sa_value(inst, args.rounds)
-    _emit({
-        "manifest": _manifest("sa", {"instance": args.instance,
-                                     "rounds": args.rounds},
-                              {args.instance: digest}),
-        "value": format_rational(value),
-        "pseudoExpectation": json.loads(pe_to_json(pe)),
-    })
+def _cmd_sa(args, digests: dict[str, str]) -> None:
+    value, pe = sa_value(_load_instance(args.instance, digests), args.rounds)
+    _emit(args, digests, {"value": format_rational(value),
+                          "pseudoExpectation": json.loads(pe_to_json(pe))})
 
 
-def _cmd_sa_edge(args) -> None:
-    inst, digest = _load_instance(args.graph)
-    value, ef = edge_sa_solve(inst, args.level)
-    _emit({
-        "manifest": _manifest("sa-edge", {"graph": args.graph,
-                                          "level": args.level},
-                              {args.graph: digest}),
+def _cmd_sa_edge(args, digests: dict[str, str]) -> None:
+    value, ef = edge_sa_solve(_load_instance(args.graph, digests), args.level)
+    _emit(args, digests, {
         "value": format_rational(value),
         "edgeFunctional": json.loads(edge_functional_to_json(ef)),
     })
 
 
-def _cmd_translate(args) -> None:
-    text, digest = _read_input(args.infile)
+def _cmd_translate(args, digests: dict[str, str]) -> None:
+    text = _read_input(vars(args)["in"], digests)
     if args.direction == "v2e":
-        pe = pe_from_json(text)
-        ef = vertex_to_edge(pe)
+        ef = vertex_to_edge(pe_from_json(text))
         report = check_edge_functional(ef)
         out = {
             "edgeFunctional": json.loads(edge_functional_to_json(ef)),
@@ -182,63 +176,40 @@ def _cmd_translate(args) -> None:
             "minConstraintValue": format_rational(report.min_value),
         }
     else:
-        ef = edge_functional_from_json(text)
-        pe = edge_to_vertex(ef)
+        pe = edge_to_vertex(edge_functional_from_json(text))
         report = check_lef(pe)
         out = {
             "pseudoExpectation": json.loads(pe_to_json(pe)),
             "feasible": report.ok,
             "minIndicator": format_rational(report.min_indicator),
         }
-    out["manifest"] = _manifest("translate",
-                                {"direction": args.direction,
-                                 "in": args.infile},
-                                {args.infile: digest})
-    _emit(out)
+    _emit(args, digests, out)
 
 
-def _cmd_lp(args) -> None:
-    inst, digest = _load_instance(args.instance)
-    rel, extra = _relaxation(args.relaxation, inst.n)
-    digests = {args.instance: digest, **extra}
-    value = lp_value(rel, inst)
-    _emit({
-        "manifest": _manifest("lp", {"instance": args.instance,
-                                     "relaxation": args.relaxation}, digests),
-        "value": format_rational(value),
-    })
+def _cmd_lp(args, digests: dict[str, str]) -> None:
+    inst = _load_instance(args.instance, digests)
+    value = lp_value(_relaxation(args.relaxation, inst.n, digests), inst)
+    _emit(args, digests, {"value": format_rational(value)})
 
 
-def _cmd_slack(args) -> None:
-    n = args.n
-    rel, extra = _relaxation(args.relaxation, n)
+def _cmd_slack(args, digests: dict[str, str]) -> None:
+    rel = _relaxation(args.relaxation, args.n, digests)
     tables = slack_functions(rel)
     csv = matrix_to_csv([q.values for q in tables], rel.labels,
-                        range(1 << n), corner="constraint")
-    outputs = ["stdout"]
+                        range(1 << args.n), corner="constraint")
     if args.out:
         _write_output(args.out, csv)
-        outputs = [args.out]
-    _emit({
-        "manifest": _manifest("slack", {"relaxation": args.relaxation, "n": n},
-                              extra, outputs=outputs),
-        "constraints": len(tables),
-        **({} if args.out else {"csv": csv}),
-    })
+        _emit(args, digests, {"constraints": len(tables)}, [args.out])
+    else:
+        _emit(args, digests, {"constraints": len(tables), "csv": csv})
 
 
-def _cmd_farkas(args) -> None:
-    inst, digest = _load_instance(args.instance)
-    rel, extra = _relaxation(args.relaxation, inst.n)
+def _cmd_farkas(args, digests: dict[str, str]) -> None:
+    inst = _load_instance(args.instance, digests)
+    rel = _relaxation(args.relaxation, inst.n, digests)
     c = parse_rational(args.c)
     result = farkas_decompose(c, inst, rel)
-    out = {
-        "manifest": _manifest("farkas", {"instance": args.instance,
-                                         "c": args.c,
-                                         "relaxation": args.relaxation},
-                              {args.instance: digest, **extra}),
-        "feasible": result.feasible,
-    }
+    out = {"feasible": result.feasible}
     if result.feasible:
         slacks = slack_functions(rel)
         out["lam0"] = format_rational(result.lam0)
@@ -247,90 +218,60 @@ def _cmd_farkas(args) -> None:
                                                result.lam, slacks)
     else:
         out["certificate"] = [format_rational(v) for v in result.certificate]
-    _emit(out)
+    _emit(args, digests, out)
 
 
-def _cmd_restrict(args) -> None:
-    text, digest = _read_input(args.family)
-    obj = _load_json(text, args.family)
+def _cmd_restrict(args, digests: dict[str, str]) -> None:
+    obj = _load_json(_read_input(args.family, digests), args.family)
     if not isinstance(obj, list):
         raise InputError("family file must be a JSON array of functions")
     densities = [Density(boolfn_from_json(json.dumps(item))) for item in obj]
-    t = args.t if args.t is not None else smoothness_exponent(args.n, args.d)
-    S, report = find_good_restriction(densities, args.n, args.m, args.d, t,
-                                      args.max_trials, args.seed)
-    _emit({
-        "manifest": _manifest("restrict",
-                              {"family": args.family, "n": args.n,
-                               "m": args.m, "d": args.d, "t": t,
-                               "maxTrials": args.max_trials},
-                              {args.family: digest}, seed=args.seed),
-        "report": json.loads(restriction_report_to_json(report, args.seed)),
-    })
+    if args.t is None:
+        args.t = smoothness_exponent(args.n, args.d)
+    S, report = find_good_restriction(densities, args.n, args.m, args.d,
+                                      args.t, args.max_trials, args.seed)
+    _emit(args, digests, {"report": json.loads(
+        restriction_report_to_json(report, args.seed))})
 
 
-def _cmd_main_ineq(args) -> None:
-    inst, digest = _load_instance(args.inst0)
-    rel, extra = _relaxation(args.relaxation, args.n)
+def _cmd_main_ineq(args, digests: dict[str, str]) -> None:
+    inst = _load_instance(args.inst0, digests)
+    rel = _relaxation(args.relaxation, args.n, digests)
     report = main_inequality_experiment(rel, inst, args.d, args.seed)
-    _emit({
-        "manifest": _manifest("main-ineq",
-                              {"relaxation": args.relaxation,
-                               "inst0": args.inst0, "n": args.n, "d": args.d},
-                              {args.inst0: digest, **extra}, seed=args.seed),
-        "report": json.loads(main_report_to_json(report)),
-    })
+    _emit(args, digests, {"report": json.loads(main_report_to_json(report))})
 
 
-def _cmd_protocol(args) -> None:
-    digests = {}
-    instances = []
-    for path in args.rows.split(","):
-        inst, digest = _load_instance(path)
-        digests[path] = digest
-        instances.append(inst)
-    c, s = parse_rational(args.c), parse_rational(args.s)
-    n = instances[0].n
-    assignments = list(range(1 << n))
-    sm = build_slack_matrix(instances, assignments, c, s)
+def _cmd_protocol(args, digests: dict[str, str]) -> None:
+    instances = [_load_instance(path, digests)
+                 for path in args.rows.split(",")]
+    sm = build_slack_matrix(instances, range(1 << instances[0].n),
+                            parse_rational(args.c), parse_rational(args.s))
     mprime = protocol_matrix(sm, args.T)
     pf = protocol_factorization(sm, args.T)
     csvs = factorization_to_csvs(pf, sm)
-    prefix = args.out_prefix
     written = []
     for name, content in (("M", slack_matrix_to_csv(sm)),
                           ("Mprime", matrix_to_csv(mprime, sm.row_names(), sm.cols)),
                           ("U", csvs["U"]), ("V", csvs["V"]),
                           ("manifest", csvs["manifest"])):
         ext = "json" if name == "manifest" else "csv"
-        path = f"{prefix}_{name}.{ext}"
+        path = f"{args.out_prefix}_{name}.{ext}"
         _write_output(path, content)
         written.append(path)
-    _emit({
-        "manifest": _manifest("protocol",
-                              {"rows": args.rows, "c": args.c, "s": args.s,
-                               "T": args.T, "outPrefix": prefix},
-                              digests, outputs=written),
-        "messages": len(pf.messages),
-        "rows": len(sm.rows),
-    })
+    _emit(args, digests, {"messages": len(pf.messages),
+                          "rows": len(sm.rows)}, written)
 
 
-def _cmd_symmetric_check(args) -> None:
-    inst, digest = _load_instance(args.inst0)
-    rel, extra = _relaxation(args.relaxation, 2 * inst.n)
-    c = parse_rational(args.c)
-    report = symmetric_contradiction_check(inst, rel, c, args.d)
-    _emit({
-        "manifest": _manifest("symmetric-check",
-                              {"inst0": args.inst0, "c": args.c, "d": args.d,
-                               "relaxation": args.relaxation},
-                              {args.inst0: digest, **extra}),
-        "report": json.loads(symmetric_report_to_json(report)),
-    })
+def _cmd_symmetric_check(args, digests: dict[str, str]) -> None:
+    inst = _load_instance(args.inst0, digests)
+    rel = _relaxation(args.relaxation, 2 * inst.n, digests)
+    report = symmetric_contradiction_check(inst, rel, parse_rational(args.c),
+                                           args.d)
+    _emit(args, digests, {"report": json.loads(
+        symmetric_report_to_json(report))})
 
 
-def _cmd_gen(args) -> None:
+def _cmd_gen(args, _digests) -> None:
     if args.kind == "cycle":
         inst = cycle(args.n)
         text = write_edge_list(inst)
@@ -377,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("translate", help="translate functionals between "
                                          "vertex and edge variables")
     p.add_argument("--direction", choices=("v2e", "e2v"), required=True)
-    p.add_argument("--in", dest="infile", required=True)
+    p.add_argument("--in", required=True)
     p.set_defaults(func=_cmd_translate)
 
     p = sub.add_parser("lp", help="relaxation value of an instance")
@@ -450,7 +391,12 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        args.func(args)
+        # random.Random seeds with |seed| and trial seeds wrap mod 2^64, so
+        # a seed outside [0, 2^64) would alias another
+        seed = getattr(args, "seed", 0)
+        if not 0 <= seed < 1 << 64:
+            raise InputError(f"need 0 <= seed < 2^64, got seed={seed}")
+        args.func(args, {})  # the digests of the files the command reads
     except LiftgapError as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
               file=sys.stderr)

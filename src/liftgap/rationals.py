@@ -31,7 +31,7 @@ def json_value(obj: object) -> object:
     frozenset a sorted list, a tuple a list, a float its text with 12
     significant digits; int, bool, str and None pass through."""
     if is_dataclass(obj):
-        return {_camel_case(f.name): json_value(getattr(obj, f.name))
+        return {camel_case(f.name): json_value(getattr(obj, f.name))
                 for f in fields(obj)}
     if isinstance(obj, Fraction):
         return format_rational(obj)
@@ -44,7 +44,8 @@ def json_value(obj: object) -> object:
     return obj
 
 
-def _camel_case(name: str) -> str:
+def camel_case(name: str) -> str:
+    """snake_case to camelCase: "max_trials" -> "maxTrials"."""
     head, *rest = name.split("_")
     return head + "".join(word[:1].upper() + word[1:] for word in rest)
 

@@ -374,3 +374,24 @@ def test_unwritable_output_is_input_error(capsys, tmp_path, triangle_file,
     argv = [a.replace("OUT", missing).replace("TRIANGLE", triangle_file)
             for a in argv]
     _assert_input_error(*_run(capsys, *argv))
+
+
+@pytest.mark.parametrize("seed", [-1, 1 << 64], ids=["negative", "2^64"])
+@pytest.mark.parametrize("argv", [
+    ["gen", "gnp", "--n", "6", "--p", "1/2"],
+    ["restrict", "--family", "FAMILY", "--n", "12", "--m", "3", "--d", "2"],
+    ["main-ineq", "--relaxation", "metric", "--inst0", "TRIANGLE",
+     "--n", "12", "--d", "2"],
+], ids=["gen", "restrict", "main-ineq"])
+def test_seed_outside_64_bits_is_input_error(capsys, tmp_path, triangle_file,
+                                             argv, seed):
+    # random.Random(-s) draws as random.Random(s), and trial seeds wrap
+    # mod 2^64: either seed would run as another one
+    from liftgap.boolfn import BoolFn, boolfn_to_json
+    family = tmp_path / "family.json"
+    family.write_text("[" + boolfn_to_json(BoolFn.constant(12, 1)) + "]")
+    argv = [a.replace("FAMILY", str(family)).replace("TRIANGLE", triangle_file)
+            for a in argv]
+    code, out, err = _run(capsys, *argv, "--seed", str(seed))
+    _assert_input_error(code, out, err)
+    assert f"seed={seed}" in json.loads(err)["message"]
