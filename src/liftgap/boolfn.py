@@ -203,12 +203,20 @@ def _cache_spectrum(f: BoolFn, spectrum: Iterable[tuple[int, int]],
     f._spectrum = ([(a, s) for a, s in spectrum if s], scale)
 
 
+def integer_spectrum(f: BoolFn) -> tuple[list[tuple[int, int]], int]:
+    """f's nonzero integer spectrum as (mask, s) pairs in increasing mask
+    order, and its scale: the coefficient at mask a is s / scale.  The
+    scale is a multiple of f.den << f.n.  Cached; the butterfly runs only
+    when no spectrum is known."""
+    if f._spectrum is None:
+        _cache_spectrum(f, enumerate(_butterfly(f.nums)), f.den << f.n)
+    return f._spectrum
+
+
 def fourier_transform(f: BoolFn) -> FourierCoeffs:
     """Exact coefficients; inverse_transform is the exact inverse."""
     if f._coeffs is None:
-        if f._spectrum is None:
-            _cache_spectrum(f, enumerate(_butterfly(f.nums)), f.den << f.n)
-        entries, scale = f._spectrum
+        entries, scale = integer_spectrum(f)
         f._coeffs = FourierCoeffs(f.n, {a: Fraction(s, scale)
                                         for a, s in entries})
     return f._coeffs

@@ -36,9 +36,9 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import AbstractSet, Sequence
 
-from .boolfn import (BoolFn, Density, FourierCoeffs, _butterfly, chang_junta,
-                     fourier_transform, inverse_transform, junta_support,
-                     mask_of)
+from .boolfn import (BoolFn, Density, FourierCoeffs, chang_junta,
+                     fourier_transform, integer_spectrum, inverse_transform,
+                     junta_support, mask_of)
 from .caps import caps
 from .csp import Instance, dummy_extend, plant
 from .errors import (ExhaustedError, HypothesisError, InputError,
@@ -325,10 +325,8 @@ def main_inequality_experiment(rel: PolyhedralRelaxation, inst0: Instance,
             within_gamma_cap=not gamma_below_abs(gamma, Fraction(abs(pe_err), mc))))
 
     gamma_upper = upper_approx(gamma)
-    if d % 2 == 0:
-        nd_half = Fraction(n ** (d // 2))
-    else:
-        nd_half = upper_approx(SqrtThreshold(Fraction(n ** d)))
+    # exact, n^(d/2), when d is even
+    nd_half = upper_approx(SqrtThreshold(n ** d))
     rhs = -(mc * gamma_upper + mc * nd_half / (1 << t))
     holds = lhs >= rhs
     report = MainInequalityReport(
@@ -436,10 +434,11 @@ def verify_symmetry_closure(slacks: Sequence[BoolFn], n: int) -> tuple[int, bool
     The image of q under a permutation reads q at the bit-permuted
     position, so its Walsh-Hadamard spectrum is q's moved by the same map
     on masks.  Each distinct slack is keyed once by den and its nonzero
-    integer spectrum (over den << n), which determine its table, and a
-    permutation moves only those few entries (a slack of degree <= d has
-    at most sum_{k<=d} C(n,k) of them): the image is in the family exactly
-    when its moved key is, as with whole tables."""
+    integer spectrum over den << n (the cached one, rescaled), which
+    determine its table, and a permutation moves only those few entries
+    (a slack of degree <= d has at most sum_{k<=d} C(n,k) of them): the
+    image is in the family exactly when its moved key is, as with whole
+    tables."""
     for i, q in enumerate(slacks):
         if q.n != n:
             raise InputError(f"slack {i} lives on {q.n} vars, expected {n}")
@@ -453,10 +452,13 @@ def verify_symmetry_closure(slacks: Sequence[BoolFn], n: int) -> tuple[int, bool
         count = 2
     entries = []
     for q in set(slacks):
-        spectrum = _butterfly(q.nums)
-        masks = tuple(a for a, s in enumerate(spectrum) if s)
-        # each entry is one int: the numerator shifted above the mask bits
-        entries.append((q.den, masks, tuple(spectrum[a] << n for a in masks)))
+        spectrum, scale = integer_spectrum(q)
+        # brought over den << n, where each entry is the butterfly's integer
+        # (so div divides it), then stored as one int: the numerator
+        # shifted above the mask bits
+        div = scale // (q.den << n)
+        entries.append((q.den, tuple(a for a, _ in spectrum),
+                        tuple((s // div) << n for _, s in spectrum)))
     keys = {(den, frozenset(map(operator.or_, vals, masks)))
             for den, masks, vals in entries}
     for perm in perms:

@@ -476,7 +476,7 @@ def factorization_product(pf: ProtocolFactorization) -> tuple[tuple[Fraction, ..
 
 
 def matrix_to_csv(entries: Sequence[Sequence[Fraction]], row_names: Sequence[str],
-                  cols: Sequence[int], corner: str = "instance") -> str:
+                  cols: Sequence[int | str], corner: str = "instance") -> str:
     lines = [",".join([corner] + [str(x) for x in cols])]
     for name, row in zip(row_names, entries):
         lines.append(",".join([name] + [format_rational(v) for v in row]))
@@ -494,9 +494,7 @@ def _message_key(msg: tuple[tuple[int, int], ...]) -> str:
 def factorization_to_csvs(pf: ProtocolFactorization, sm: SlackMatrix) -> dict[str, str]:
     """Returns {"U": csv, "V": csv, "manifest": json} for export."""
     msg_keys = [_message_key(m) for m in pf.messages]
-    u_csv = matrix_to_csv(pf.U, sm.row_names(), range(len(pf.messages)))
-    u_lines = u_csv.splitlines()
-    u_lines[0] = ",".join(["instance"] + msg_keys)
+    u_csv = matrix_to_csv(pf.U, sm.row_names(), msg_keys)
     v_csv = matrix_to_csv(pf.V, msg_keys, sm.cols, corner="message")
     manifest = json.dumps({
         "T": pf.T,
@@ -504,4 +502,4 @@ def factorization_to_csvs(pf: ProtocolFactorization, sm: SlackMatrix) -> dict[st
         "rows": list(sm.row_names()),
         "cols": [str(x) for x in sm.cols],
     }, sort_keys=True)
-    return {"U": "\n".join(u_lines) + "\n", "V": v_csv, "manifest": manifest}
+    return {"U": u_csv, "V": v_csv, "manifest": manifest}

@@ -376,6 +376,25 @@ def test_symmetry_closure_matches_whole_tables(name):
         _reference_closure(slacks, n) == (math.factorial(n), True)
 
 
+@pytest.mark.parametrize("name", sorted(_CLOSURE_FAMILIES))
+def test_symmetry_closure_reads_cached_spectra(name):
+    # the closure reads each slack's cached spectrum, whose scale may be a
+    # multiple of den << n (a row's unreduced scale, or a factor's
+    # denominator after scaled): with every other slack a fresh copy,
+    # which has none cached, an image keyed at the wrong scale is missed
+    slacks = _closure_family(name)
+    n = slacks[0].n
+    expected = (math.factorial(n), True)
+    for factor in (1, F(1, 2), F(3, 4), F(-5)):
+        family = [q.scaled(factor) for q in slacks]
+        assert all(q._spectrum is not None for q in family)
+        fresh = [BoolFn.from_ints(n, q.nums, q.den) for q in family]
+        mixed = [p if i % 2 else q
+                 for i, (p, q) in enumerate(zip(fresh, family))]
+        assert verify_symmetry_closure(mixed, n) == expected, factor
+        assert verify_symmetry_closure(fresh, n) == expected, factor
+
+
 def _swap_12(q: BoolFn) -> BoolFn:
     """q with x1 and x2 exchanged."""
     def swapped(x):
