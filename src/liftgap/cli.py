@@ -226,7 +226,7 @@ def _cmd_restrict(args, digests: dict[str, str]) -> None:
     if not isinstance(obj, list):
         raise InputError("family file must be a JSON array of functions")
     densities = [Density(boolfn_from_json(json.dumps(item))) for item in obj]
-    if args.t is None:
+    if args.t is None:  # the manifest records the t the run used
         args.t = smoothness_exponent(args.n, args.d)
     S, report = find_good_restriction(densities, args.n, args.m, args.d,
                                       args.t, args.max_trials, args.seed)
