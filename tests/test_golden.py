@@ -38,8 +38,9 @@ from liftgap.restriction import (check_restriction,
                                  restriction_report_to_json,
                                  symmetric_contradiction_check,
                                  symmetric_report_to_json)
-from liftgap.sa import (EdgeFunctional, PseudoExpectation, build_sa_lp,
-                        check_lef, edge_functional_to_json, edge_monomials,
+from liftgap.sa import (EdgeFunctional, PseudoExpectation, build_edge_sa_lp,
+                        build_sa_lp, check_edge_functional, check_lef,
+                        edge_functional_to_json, edge_monomials,
                         edge_sa_solve, edge_to_vertex, pe_to_json, sa_value)
 from liftgap.slack import (build_slack_matrix, matrix_to_csv, metric_maxcut,
                            protocol_tail_probabilities, universal)
@@ -72,10 +73,13 @@ def _universal_text(n: int, d: int) -> str:
     return "\n".join(lines)
 
 
-def _lef_text(pe: PseudoExpectation) -> str:
-    report = check_lef(pe)
+def _report_text(report) -> str:
     return "\n".join(f"{f.name}={getattr(report, f.name)}"
                      for f in dataclasses.fields(report))
+
+
+def _lef_text(pe: PseudoExpectation) -> str:
+    return _report_text(check_lef(pe))
 
 
 def _cut_mixture(n: int, r: int, cuts: dict[int, F]) -> EdgeFunctional:
@@ -88,6 +92,14 @@ def _cut_mixture(n: int, r: int, cuts: dict[int, F]) -> EdgeFunctional:
                              if all((x >> (i - 1) ^ x >> (j - 1)) & 1
                                     for i, j in mono)), F(0))
     return EdgeFunctional(n, r, moments)
+
+
+def _failing_edge_functional() -> EdgeFunctional:
+    """A cut mixture on 4 vertices at r=1 with the moment of y12*y34 moved
+    from 1/6 to -1/5: the first violated row is not the minimal one."""
+    ef = _cut_mixture(4, 1, {0b0001: F(1, 2), 0b0011: F(1, 3),
+                             0b0110: F(1, 6)})
+    return EdgeFunctional(4, 1, {**ef.moments, ((1, 2), (3, 4)): F(-1, 5)})
 
 
 def _tail_csv(T: int) -> str:
@@ -288,11 +300,22 @@ OUTPUTS = {
         ["restrict", "--family", "densities.json", "--n", "12", "--m", "3",
          "--d", "2", "--t", "1", "--max-trials", "5", "--seed", "2"],
         {"densities.json": _restrict_family()}),
+    # the edge relaxation's rows, and the labels of its report
+    "repr(build_edge_sa_lp(C5,1))": lambda: repr(
+        build_edge_sa_lp(5, 1, cycle(5))),
+    "repr(build_edge_sa_lp(K4-e,2))": lambda: repr(
+        build_edge_sa_lp(4, 2, _K4_MINUS_EDGE)),
+    "check_edge_functional(edge_sa_solve C5,1)": lambda: _report_text(
+        check_edge_functional(edge_sa_solve(cycle(5), 1)[1])),
+    "check_edge_functional(failing)": lambda: _report_text(
+        check_edge_functional(_failing_edge_functional())),
 }
 
 GOLDEN = {
     'build_sa_lp(3sat(5,8,seed=1),3)': '83f6c80692e3276736b3d63dbfc9eb7c286f281764b012642e5f82b401e76dcd',
     'build_sa_lp(C3,2)': 'f967d93096e0590d4ae8bc522831398c08ebb9a4b6bee8cd9c7e6364ad5b12ac',
+    'check_edge_functional(edge_sa_solve C5,1)': 'bbb9b1b18235dd43af9f3f6fadb5e75a0ef4945f9ff674c1cea094bc2562ff05',
+    'check_edge_functional(failing)': 'b7f0d54eb88954e43ae41a85f32a3607e37d6c2095d742e483e75d302433f6c7',
     'check_lef(failing)': 'e84d2c3df2ac8f7c0dbfd7d0f0a9575df8b6ce203be3d177ffcd2fdee6c428c0',
     'check_lef(sa 3sat(4,6,seed=2),3)': 'e2af55c1ae2bc7d5fade81facfa8c818fc8fb7573193da5068f47bde0a756425',
     'check_lef(sa C5,2)': 'cbdd3593b4cb3bd4a57648e8bd9a54d30318fd0325b520bef9a1c3693a4a09a1',
@@ -332,6 +355,8 @@ GOLDEN = {
     'pe_to_json(sa C5,3)': '30f3b75caf8442708355737646981594e10f0f510f2f4b7cfaacd0fb04df935c',
     'pe_to_json(sa C9,3)': 'b9393c7fe3b8dd62656c2baa552379382af76417acf56481dae6b4349982917f',
     'protocol_tail_probabilities(K4,K4-e,T=3)': '6938bd612ebcc5279852a45c0100a05a7f0f8718fe1ff3d7b4471745dd3e423c',
+    'repr(build_edge_sa_lp(C5,1))': 'e672d105281ee03df850ff49dbb0258335062ae13a3aee0a65d88d0a2017c651',
+    'repr(build_edge_sa_lp(K4-e,2))': 'b856a6befb97ee1192b8113b5974bd6bb274738814651f741f811d3eed4f5f7f',
     'restriction_report(failing, no seed)': '163043912d9aeadca6822d71c952ade8b176fbae3e136ef624d33d444b3b5be7',
     'solve_lp(contradictory bounds)': 'ecf97d0a618fbff043a2c4f8d5a3afe122f76cb92b8872b4da7f1f18f53817c6',
     'solve_lp(minimize)': '2ea5176509409c2a495d38c1c32ad3d6455b8201bc176574e774f8f15e1f9285',
