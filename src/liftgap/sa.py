@@ -8,11 +8,14 @@ asserting nonnegativity of the corresponding local probability.
 
 The edge-variable variant for Max Cut, over 0/1 variables y_{i,j} with
 the metric facets, lives here too, together with the two exact
-translation maps between vertex functionals and edge functionals.
+translation maps between vertex functionals and edge functionals.  One
+enumerator expands its rows, over monomial bitmasks with integer
+coefficients, for the LP builder and the functional check alike.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -25,7 +28,7 @@ from .caps import caps
 from .csp import Instance, instance_polynomial, is_maxcut
 from .errors import (HypothesisError, InputError, InternalError,
                      ParameterError, SizeCapError)
-from .lp import LinearProgram, linear_program, solve_lp
+from .lp import GREATER_EQ, LinearConstraint, LinearProgram, solve_lp
 from .rationals import format_rational, parse_rational
 
 Pair = tuple[int, int]
@@ -123,10 +126,14 @@ def build_sa_lp(n: int, d: int, objective: FourierCoeffs) -> LinearProgram:
             f"objective degree {objective.degree()} exceeds level {d}")
     masks = sa_variable_masks(n, d)
     index = {m: i for i, m in enumerate(masks)}
-    rows = [({index[alpha]: sign for alpha, sign in terms if alpha}, ">=", -1)
-            for s_mask, _, terms in _indicators(n, d) if s_mask]
-    obj = [objective.get(m) for m in masks]
-    return linear_program(len(masks), rows, obj, "maximize")
+    sign = {1: Fraction(1), -1: Fraction(-1)}
+    rows = tuple(
+        LinearConstraint(tuple(sorted((index[alpha], sign[s])
+                                      for alpha, s in terms if alpha)),
+                         GREATER_EQ, sign[-1], len(masks))
+        for s_mask, _, terms in _indicators(n, d) if s_mask)
+    obj = tuple(Fraction(objective.get(m)) for m in masks)
+    return LinearProgram(len(masks), rows, obj, "maximize")
 
 
 def sa_value(inst: Instance, d: int) -> tuple[Fraction, PseudoExpectation]:
@@ -266,64 +273,66 @@ def _all_pairs(n: int) -> list[Pair]:
     return [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
 
 
-def _poly_mul(p: dict[Monomial, Fraction],
-              q: dict[Monomial, Fraction]) -> dict[Monomial, Fraction]:
-    """Product in the squarefree quotient: monomials multiply by union."""
-    out: dict[Monomial, Fraction] = {}
-    for m1, c1 in p.items():
-        for m2, c2 in q.items():
-            key = tuple(sorted(set(m1) | set(m2)))
-            c = c1 * c2
-            prev = out.get(key)
-            out[key] = c if prev is None else prev + c
-    return {k: v for k, v in out.items() if v}
-
-
-def _metric_facets(n: int) -> list[tuple[str, dict[Monomial, Fraction]]]:
-    """All metric facets as linear polynomials ell with {ell >= 0}."""
-    one = Fraction(1)
-    facets: list[tuple[str, dict[Monomial, Fraction]]] = []
-    for e in _all_pairs(n):
-        facets.append((f"y{e}>=0", {(e,): one}))
-        facets.append((f"y{e}<=1", {(): one, (e,): -one}))
+def _metric_facets(n: int) -> list[tuple[str, list[tuple[int, int]]]]:
+    """All metric facets as linear polynomials ell with {ell >= 0}: (name,
+    [(monomial mask, coefficient)]), pair p of _all_pairs(n) being bit p
+    of a mask and 0 the unit monomial."""
+    pairs = _all_pairs(n)
+    bit = {e: 1 << p for p, e in enumerate(pairs)}
+    facets: list[tuple[str, list[tuple[int, int]]]] = []
+    for e in pairs:
+        facets.append((f"y{e}>=0", [(bit[e], 1)]))
+        facets.append((f"y{e}<=1", [(0, 1), (bit[e], -1)]))
     for i, j, k in itertools.combinations(range(1, n + 1), 3):
         eij, eik, ejk = (i, j), (i, k), (j, k)
         for long_e, a, b in ((eij, eik, ejk), (eik, eij, ejk), (ejk, eij, eik)):
             facets.append((f"tri{long_e}<={a}+{b}",
-                           {(a,): one, (b,): one, (long_e,): -one}))
+                           [(bit[a], 1), (bit[b], 1), (bit[long_e], -1)]))
         facets.append((f"perim{(i, j, k)}",
-                       {(): Fraction(2), (eij,): -one, (eik,): -one, (ejk,): -one}))
+                       [(0, 2), (bit[eij], -1), (bit[eik], -1), (bit[ejk], -1)]))
     return facets
 
 
-def _indicator_poly(t_vars: Sequence[Pair],
-                    pattern: int) -> dict[Monomial, Fraction]:
-    """The indicator that edge variable t_vars[j] equals bit j of
-    pattern, as a polynomial."""
-    one = Fraction(1)
-    poly: dict[Monomial, Fraction] = {(): one}
-    for j, e in enumerate(t_vars):
-        factor = {(e,): one} if pattern >> j & 1 else {(): one, (e,): -one}
-        poly = _poly_mul(poly, factor)
-    return poly
+def _indicator_terms(bits: Sequence[int], pattern: int) -> list[tuple[int, int]]:
+    """The indicator that the pair variable of bit bits[k] equals bit k of
+    pattern, expanded as [(monomial mask, +1 / -1)]: the product of y_e
+    over the ones and of (1 - y_e) over the zeros."""
+    ones = 0
+    terms = [(0, 1)]
+    for k, b in enumerate(bits):
+        if pattern >> k & 1:
+            ones |= b
+        else:
+            terms += [(m | b, -s) for m, s in terms]
+    return [(m | ones, s) for m, s in terms]
 
 
-def _indicator_polys(pairs: Sequence[Pair], r: int):
-    """Indicator juntas on at most r edge variables, as polynomials."""
-    for size in range(r + 1):
-        for t_vars in itertools.combinations(pairs, size):
-            for pattern in range(1 << size):
-                yield (t_vars, pattern, _indicator_poly(t_vars, pattern))
-
-
-def edge_constraint_polys(n: int, r: int):
-    """The constraint family: every indicator r-junta times every metric
-    facet, expanded into squarefree monomials.  Yields (label, poly)."""
+def _edge_rows(n: int, r: int):
+    """The constraint family: every indicator junta on at most r pair
+    variables (by size, then combination, then pattern) times every
+    metric facet, expanded into squarefree monomials, where a product of
+    monomials is the | of their masks.  Yields (t_vars, pattern, facet
+    name, {monomial mask: int coefficient}) with zero coefficients
+    dropped; _edge_label names the row."""
     pairs = _all_pairs(n)
     facets = _metric_facets(n)
-    for t_vars, pattern, ind in _indicator_polys(pairs, r):
-        for name, ell in facets:
-            yield (f"I{t_vars}:{pattern}*{name}", _poly_mul(ind, ell))
+    for size in range(r + 1):
+        for t in itertools.combinations(range(len(pairs)), size):
+            t_vars = tuple(pairs[p] for p in t)
+            bits = [1 << p for p in t]
+            for pattern in range(1 << size):
+                ind = _indicator_terms(bits, pattern)
+                for name, ell in facets:
+                    poly: dict[int, int] = {}
+                    for m1, c1 in ind:
+                        for m2, c2 in ell:
+                            m = m1 | m2
+                            poly[m] = poly.get(m, 0) + c1 * c2
+                    yield t_vars, pattern, name, {m: c for m, c in poly.items() if c}
+
+
+def _edge_label(t_vars: tuple[Pair, ...], pattern: int, name: str) -> str:
+    return f"I{t_vars}:{pattern}*{name}"
 
 
 def edge_monomials(n: int, r: int) -> tuple[Monomial, ...]:
@@ -334,6 +343,13 @@ def edge_monomials(n: int, r: int) -> tuple[Monomial, ...]:
     for size in range(1, r + 2):
         out.extend(itertools.combinations(pairs, size))
     return tuple(out)
+
+
+def _monomial_masks(n: int, r: int) -> tuple[int, ...]:
+    """edge_monomials(n, r) as masks over the pair bits, in the same order."""
+    num_pairs = n * (n - 1) // 2
+    return tuple(sum(1 << p for p in combo) for size in range(1, r + 2)
+                 for combo in itertools.combinations(range(num_pairs), size))
 
 
 def _check_edge_caps(n: int, r: int) -> None:
@@ -355,26 +371,28 @@ def build_edge_sa_lp(n: int, r: int, inst: Instance) -> LinearProgram:
         raise InputError("operation requires a Max Cut instance")
     if inst.n != n:
         raise InputError(f"instance has {inst.n} vertices, relaxation has {n}")
-    monos = edge_monomials(n, r)
-    index = {m: i for i, m in enumerate(monos)}
+    masks = _monomial_masks(n, r)
+    index = {m: j for j, m in enumerate(masks)}
+    fraction = functools.cache(Fraction)  # one object per coefficient value
     rows = []
     seen = set()
-    for _, poly in edge_constraint_polys(n, r):
-        const = poly.get((), Fraction(0))
-        body = [(index[m], c) for m, c in poly.items() if m]
-        if not body:
+    for _, _, _, poly in _edge_rows(n, r):
+        const = poly.pop(0, 0)
+        if not poly:
             continue  # constant row, trivially true (constant >= 0 here)
-        key = (tuple(sorted(body)), const)
+        key = (tuple(sorted((index[m], c) for m, c in poly.items())), const)
         if key in seen:
             continue
         seen.add(key)
-        rows.append((dict(body), ">=", -const))
+        rows.append(LinearConstraint(tuple((j, fraction(c)) for j, c in key[0]),
+                                     GREATER_EQ, fraction(-const), len(masks)))
+    pairs = _all_pairs(n)
     m_edges = len(inst.constraints)
-    obj = [Fraction(0)] * len(monos)
+    obj = [Fraction(0)] * len(masks)
     for c in inst.constraints:
         e = (min(c.vars), max(c.vars))
-        obj[index[(e,)]] = Fraction(1, m_edges)
-    return linear_program(len(monos), rows, obj, "maximize")
+        obj[index[1 << pairs.index(e)]] = Fraction(1, m_edges)
+    return LinearProgram(len(masks), tuple(rows), tuple(obj), "maximize")
 
 
 def edge_sa_solve(inst: Instance, r: int) -> tuple[Fraction, EdgeFunctional]:
@@ -401,17 +419,23 @@ def check_edge_functional(ef: EdgeFunctional) -> EdgeLefReport:
     the functional is nonnegative on it; reports the minimum value seen
     (the feasibility margin)."""
     _check_edge_caps(ef.n, ef.r)
-    min_val: Fraction | None = None
+    # every stored moment is read by some row, and the rows read them
+    # first in this order, so a missing one is named as the rows would
+    moments = [ef.moment(mono) for mono in ((),) + edge_monomials(ef.n, ef.r)]
+    scale = math.lcm(*(v.denominator for v in moments))
+    value = {m: v.numerator * (scale // v.denominator)
+             for m, v in zip((0,) + _monomial_masks(ef.n, ef.r), moments)}
+    min_val: int | None = None
     first = ""
-    for label, poly in edge_constraint_polys(ef.n, ef.r):
-        val = Fraction(0)
-        for mono, c in poly.items():
-            val += c * ef.moment(mono)
+    for t_vars, pattern, name, poly in _edge_rows(ef.n, ef.r):
+        val = sum(c * value[m] for m, c in poly.items())
         if min_val is None or val < min_val:
             min_val = val
         if val < 0 and not first:
-            first = f"{label} evaluates to {val}"
-    return EdgeLefReport(ok=not first, detail=first, min_value=min_val)
+            first = (f"{_edge_label(t_vars, pattern, name)} evaluates to "
+                     f"{Fraction(val, scale)}")
+    return EdgeLefReport(ok=not first, detail=first, min_value=(
+        None if min_val is None else Fraction(min_val, scale)))
 
 
 def _cut_poly(i: int, j: int) -> dict[int, Fraction]:
@@ -490,28 +514,27 @@ def _verify_objective_identity(ef: EdgeFunctional, pe: PseudoExpectation) -> Non
     (y_{1,i} - y_{1,j})^2 - y_{i,j}  (squarefree: y1i + y1j - 2 y1i y1j
     - yij) must vanish under the functional, both in aggregate and
     against each full indicator of the triple's three edge variables."""
-    one = Fraction(1)
     for i, j in itertools.combinations(range(2, ef.n + 1), 2):
         e1i, e1j, eij = (1, i), (1, j), (i, j)
-        discrepancy = {(e1i,): one, (e1j,): one,
-                       tuple(sorted((e1i, e1j))): Fraction(-2), (eij,): -one}
-        total = Fraction(0)
-        for mono, cf in discrepancy.items():
-            total += cf * ef.moment(mono)
+        total = (ef.moment((e1i,)) + ef.moment((e1j,))
+                 - 2 * ef.moment((e1i, e1j)) - ef.moment((eij,)))
         if total != 0:
             raise HypothesisError(
                 f"objective identity fails at pair {(i, j)}: "
                 f"discrepancy {total}; the input functional is not at level >= 2")
+        # the triple's monomials as masks: bit 2 for e1i, 1 for e1j, 0 for eij
+        triple = ((e1i, 4), (e1j, 2), (eij, 1))
+        moments = [ef.moment(tuple(e for e, b in triple if u & b))
+                   for u in range(8)]
         for pattern in range(8):
-            indicator = _indicator_poly((e1i, e1j, eij), pattern)
             a = pattern & 1
             b = pattern >> 1 & 1
             cval = pattern >> 2 & 1
-            scale = Fraction((a - b) ** 2 - cval)
-            value = Fraction(0)
-            for mono, cf in indicator.items():
-                value += cf * ef.moment(mono)
-            if scale * value != 0:
+            if (a - b) ** 2 == cval:
+                continue
+            value = sum(s * moments[u]
+                        for u, s in _indicator_terms((4, 2, 1), pattern))
+            if value:
                 raise HypothesisError(
                     f"triple identity fails at (1, {i}, {j}), pattern "
                     f"{pattern}: indicator mass {value}")

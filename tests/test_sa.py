@@ -1,5 +1,6 @@
 import itertools
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,9 +9,12 @@ from liftgap.boolfn import BoolFn, FourierCoeffs
 from liftgap.csp import (brute_force_opt, cycle, graph_instance,
                          instance_polynomial, plant, random_graph)
 from liftgap.errors import HypothesisError, InputError, ParameterError
-from liftgap.sa import (EdgeFunctional, PseudoExpectation, build_edge_sa_lp,
-                        build_sa_lp, check_edge_functional, check_lef,
-                        edge_functional_from_json, edge_functional_to_json,
+from liftgap.lp import linear_program
+from liftgap.sa import (EdgeFunctional, PseudoExpectation, _all_pairs,
+                        _edge_label, _edge_rows, _verify_objective_identity,
+                        build_edge_sa_lp, build_sa_lp, check_edge_functional,
+                        check_lef, edge_functional_from_json,
+                        edge_functional_to_json, edge_monomials,
                         edge_sa_solve, edge_to_vertex,
                         pe_apply, pe_from_json, pe_plant, pe_to_json,
                         sa_value, sa_variable_masks, vertex_to_edge)
@@ -151,7 +155,6 @@ def test_edge_lp_rejects_non_maxcut():
 
 
 def edge_functional_from_cut(n: int, r: int, x: int) -> EdgeFunctional:
-    from liftgap.sa import edge_monomials
     moments = {(): F(1)}
     for mono in edge_monomials(n, r):
         value = F(1)
@@ -251,3 +254,171 @@ def test_check_edge_functional_flags_violation():
     bad = EdgeFunctional(3, 0, {**ef.moments, ((1, 2),): F(2)})
     report = check_edge_functional(bad)
     assert not report.ok and report.min_value < 0
+
+
+# --- oracle: the edge rows expanded over tuple monomials -------------------
+# Monomials are sorted tuples of pairs and polynomials {monomial: Fraction};
+# a product multiplies monomials by the union of their pairs.
+
+
+def _poly_mul(p, q):
+    out = {}
+    for m1, c1 in p.items():
+        for m2, c2 in q.items():
+            key = tuple(sorted(set(m1) | set(m2)))
+            out[key] = out.get(key, 0) + c1 * c2
+    return {k: v for k, v in out.items() if v}
+
+
+def _oracle_facets(n):
+    one = F(1)
+    facets = []
+    for e in _all_pairs(n):
+        facets.append((f"y{e}>=0", {(e,): one}))
+        facets.append((f"y{e}<=1", {(): one, (e,): -one}))
+    for i, j, k in itertools.combinations(range(1, n + 1), 3):
+        eij, eik, ejk = (i, j), (i, k), (j, k)
+        for long_e, a, b in ((eij, eik, ejk), (eik, eij, ejk), (ejk, eij, eik)):
+            facets.append((f"tri{long_e}<={a}+{b}",
+                           {(a,): one, (b,): one, (long_e,): -one}))
+        facets.append((f"perim{(i, j, k)}",
+                       {(): F(2), (eij,): -one, (eik,): -one, (ejk,): -one}))
+    return facets
+
+
+def _oracle_indicator(t_vars, pattern):
+    poly = {(): F(1)}
+    for j, e in enumerate(t_vars):
+        factor = {(e,): F(1)} if pattern >> j & 1 else {(): F(1), (e,): F(-1)}
+        poly = _poly_mul(poly, factor)
+    return poly
+
+
+def _oracle_rows(n, r):
+    """(label, poly) for every indicator r-junta times metric facet."""
+    facets = _oracle_facets(n)
+    for size in range(r + 1):
+        for t_vars in itertools.combinations(_all_pairs(n), size):
+            for pattern in range(1 << size):
+                ind = _oracle_indicator(t_vars, pattern)
+                for name, ell in facets:
+                    yield f"I{t_vars}:{pattern}*{name}", _poly_mul(ind, ell)
+
+
+def _oracle_edge_lp(n, r, inst):
+    index = {m: i for i, m in enumerate(edge_monomials(n, r))}
+    rows = []
+    seen = set()
+    for _, poly in _oracle_rows(n, r):
+        const = poly.get((), F(0))
+        body = [(index[m], c) for m, c in poly.items() if m]
+        key = (tuple(sorted(body)), const)
+        if body and key not in seen:
+            seen.add(key)
+            rows.append((dict(body), ">=", -const))
+    obj = [F(0)] * len(index)
+    for c in inst.constraints:
+        obj[index[((min(c.vars), max(c.vars)),)]] = F(1, len(inst.constraints))
+    return linear_program(len(index), rows, obj, "maximize")
+
+
+def _oracle_check(ef):
+    """(ok, detail, min_value) of the rows evaluated in the oracle's order,
+    each monomial read through ef.moment as the row reaches it."""
+    min_val = None
+    first = ""
+    for label, poly in _oracle_rows(ef.n, ef.r):
+        val = F(0)
+        for mono, c in poly.items():
+            val += c * ef.moment(mono)
+        if min_val is None or val < min_val:
+            min_val = val
+        if val < 0 and not first:
+            first = f"{label} evaluates to {val}"
+    return not first, first, min_val
+
+
+def _oracle_identity(ef):
+    for i, j in itertools.combinations(range(2, ef.n + 1), 2):
+        e1i, e1j, eij = (1, i), (1, j), (i, j)
+        total = (ef.moment((e1i,)) + ef.moment((e1j,))
+                 - 2 * ef.moment((e1i, e1j)) - ef.moment((eij,)))
+        if total != 0:
+            raise HypothesisError(
+                f"objective identity fails at pair {(i, j)}: "
+                f"discrepancy {total}; the input functional is not at "
+                "level >= 2")
+        for pattern in range(8):
+            value = sum(c * ef.moment(mono) for mono, c in
+                        _oracle_indicator((e1i, e1j, eij), pattern).items())
+            a, b, c = pattern & 1, pattern >> 1 & 1, pattern >> 2 & 1
+            if ((a - b) ** 2 - c) * value != 0:
+                raise HypothesisError(
+                    f"triple identity fails at (1, {i}, {j}), pattern "
+                    f"{pattern}: indicator mass {value}")
+
+
+def _outcome(call, *args):
+    try:
+        return call(*args)
+    except (InputError, HypothesisError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _perturbed(ef, rng, count):
+    """ef with `count` moments moved to random k/q and one of `count`
+    other monomials (sometimes) deleted."""
+    monos = edge_monomials(ef.n, ef.r)
+    moments = dict(ef.moments)
+    for mono in rng.sample(monos, count):
+        moments[mono] = F(rng.randint(-3, 3), rng.choice((1, 2, 3, 7)))
+    if rng.random() < 0.3:
+        for mono in rng.sample(monos, count):
+            del moments[mono]
+    return EdgeFunctional(ef.n, ef.r, moments)
+
+
+@pytest.mark.parametrize("n, r", [(n, r) for n in (3, 4, 5) for r in (0, 1, 2)])
+def test_edge_rows_match_tuple_expansion(n, r):
+    """The bitmask rows are the oracle's, label by label and in order, and
+    the LP built from them is the one the oracle's rows give."""
+    pairs = _all_pairs(n)
+    rows = [(_edge_label(t_vars, pattern, name),
+             {tuple(e for p, e in enumerate(pairs) if m >> p & 1): c
+              for m, c in poly.items()})
+            for t_vars, pattern, name, poly in _edge_rows(n, r)]
+    assert rows == list(_oracle_rows(n, r))
+    for inst in (cycle(n), graph_instance(n, [(1, 2), (2, 3)])):
+        assert build_edge_sa_lp(n, r, inst) == _oracle_edge_lp(n, r, inst)
+
+
+@pytest.mark.parametrize("n, r", [(3, 0), (3, 2), (4, 1), (4, 2), (5, 1)])
+def test_check_edge_functional_matches_tuple_expansion(n, r):
+    """Reports (ok, label of the first violated row, minimum) and the
+    missing-moment error agree with the oracle on perturbed cut
+    functionals."""
+    rng = random.Random(f"edge check {n} {r}")
+    base = edge_functional_from_cut(n, r, 0b01101 % (1 << n))
+    assert _outcome(check_edge_functional, base).ok
+    for _ in range(6):
+        ef = _perturbed(base, rng, rng.choice((1, 2)))
+        got = _outcome(check_edge_functional, ef)
+        if not isinstance(got, tuple):
+            got = (got.ok, got.detail, got.min_value)
+        assert got == _outcome(_oracle_check, ef)
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_objective_identity_matches_tuple_expansion(n):
+    """The same first failure, and the same message, as the oracle; the
+    draws reach the aggregate check, the triple check and missing moments."""
+    rng = random.Random(f"identity {n}")
+    base = edge_functional_from_cut(n, 2, 0b10110 % (1 << n))
+    assert _verify_objective_identity(base, None) is None
+    seen = set()
+    for _ in range(16):
+        ef = _perturbed(base, rng, 1)
+        got = _outcome(_verify_objective_identity, ef, None)
+        assert got == _outcome(_oracle_identity, ef)
+        seen.add(got and got[1].split()[0])
+    assert seen == {None, "objective", "triple", "moment"}
