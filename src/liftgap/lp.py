@@ -17,7 +17,11 @@ primal adapter and one verifier:
 The verifier re-checks every returned solution against the input.
 Optimal: primal feasibility (x >= 0 on flagged variables included),
 objective value, dual signs, dual feasibility and strong duality.
-Infeasible: certificate signs, combination and normalization.
+Infeasible: certificate signs, combination and normalization.  It works
+on integers too, but shares nothing with the core: each input row is
+scaled by the lcm of its own denominators (rhs included), the point by
+the lcm of its denominators and the multipliers to one common
+denominator, and every condition is an exact integer comparison.
 
 Conventions
 -----------
@@ -421,17 +425,43 @@ def _solve_max_dual(lp: LinearProgram) -> LPSolution | None:
                       dual_certificate=tuple(_fold(col_row_sign, res.x, m)))
 
 
-def _combination(lp: LinearProgram, mult: Sequence[Fraction]) -> list[Fraction]:
-    """mult . A, in one pass over the nonzero entries of the rows."""
-    acc = [Fraction(0)] * lp.num_vars
-    for m_i, c in zip(mult, lp.constraints):
-        if m_i:
-            for j, a in c.terms:
-                acc[j] += m_i * a
+def _int_vector(vec: Sequence[Fraction]) -> tuple[list[int], int]:
+    """(ints, d) with vec == ints / d, d the lcm of the denominators."""
+    d = lcm(*(v.denominator for v in vec))
+    return [v.numerator * (d // v.denominator) for v in vec], d
+
+
+def _int_rows(lp: LinearProgram) -> list[tuple[list[tuple[int, int]], int, int]]:
+    """Each row times s, the lcm of its own denominators (rhs included):
+    (terms, rhs, s), all ints."""
+    rows = []
+    for c in lp.constraints:
+        s = lcm(c.rhs.denominator, *(a.denominator for _, a in c.terms))
+        rows.append(([(j, a.numerator * (s // a.denominator))
+                      for j, a in c.terms],
+                     c.rhs.numerator * (s // c.rhs.denominator), s))
+    return rows
+
+
+def _int_multipliers(rows, mult: Sequence[Fraction]) -> tuple[list[int], int]:
+    """(w, D) with mult_i / s_i == w_i / D for each row scale s_i, so that
+    sum_i w_i * (scaled row i) is D times mult . (A | b)."""
+    ys, yd = _int_vector(mult)
+    s = lcm(*(s_i for (_, _, s_i), y in zip(rows, ys) if y))
+    return [y * (s // s_i) for (_, _, s_i), y in zip(rows, ys)], yd * s
+
+
+def _combination(num_vars: int, rows, w: Sequence[int]) -> list[int]:
+    """w . A over the scaled rows, in one pass over their nonzero entries."""
+    acc = [0] * num_vars
+    for w_i, (terms, _, _) in zip(w, rows):
+        if w_i:
+            for j, a in terms:
+                acc[j] += w_i * a
     return acc
 
 
-def _check_signs(lp: LinearProgram, mult: Sequence[Fraction], pos: str,
+def _check_signs(lp: LinearProgram, mult: Sequence[int], pos: str,
                  what: str) -> None:
     """mult >= 0 on pos rows, <= 0 on the other inequality rows."""
     neg = GREATER_EQ if pos == LESS_EQ else LESS_EQ
@@ -445,41 +475,50 @@ def _check_optimal(lp: LinearProgram, sol: LPSolution,
     """Primal feasibility (x >= 0 on nonneg), the objective value, dual
     signs, dual feasibility (equality of mult . A with the objective on
     free variables, the right inequality on nonneg ones) and strong
-    duality, all exact."""
-    x = sol.point
-    for i, c in enumerate(lp.constraints):
-        lhs = sum(a * x[j] for j, a in c.terms)
-        ok = (lhs <= c.rhs if c.relation == LESS_EQ
-              else lhs >= c.rhs if c.relation == GREATER_EQ
-              else lhs == c.rhs)
+    duality, all exact, on integers: x over the lcm of its denominators,
+    each row times the lcm of its own, the multipliers over a common
+    denominator."""
+    rows = _int_rows(lp)
+    x, xd = _int_vector(sol.point)
+    for i, ((terms, rhs, _), c) in enumerate(zip(rows, lp.constraints)):
+        lhs = sum(a * x[j] for j, a in terms)
+        rhs *= xd
+        ok = (lhs <= rhs if c.relation == LESS_EQ
+              else lhs >= rhs if c.relation == GREATER_EQ
+              else lhs == rhs)
         if not ok:
             raise InternalError(f"solution violates constraint {i}")
     for j in nonneg:
         if x[j] < 0:
             raise InternalError(f"negative nonneg variable {j}")
-    if sum(o * v for o, v in zip(lp.objective, x) if o) != sol.value:
+    obj, od = _int_vector(lp.objective)
+    value = sol.value
+    if (sum(o * v for o, v in zip(obj, x) if o) * value.denominator
+            != value.numerator * od * xd):
         raise InternalError("objective mismatch")
-    mult = sol.dual_certificate
     maximize = lp.sense == "maximize"
-    _check_signs(lp, mult, LESS_EQ if maximize else GREATER_EQ, "dual")
-    for j, (v, o) in enumerate(zip(_combination(lp, mult), lp.objective)):
-        gap = v - o if maximize else o - v
+    w, wd = _int_multipliers(rows, sol.dual_certificate)
+    _check_signs(lp, w, LESS_EQ if maximize else GREATER_EQ, "dual")
+    for j, (v, o) in enumerate(zip(_combination(lp.num_vars, rows, w), obj)):
+        gap = v * od - o * wd if maximize else o * wd - v * od
         if gap < 0 or (gap and j not in nonneg):
             raise InternalError(f"dual combination mismatch at var {j}")
-    if sum(m_i * c.rhs for m_i, c in zip(mult, lp.constraints)) != sol.value:
+    if (sum(w_i * rhs for w_i, (_, rhs, _) in zip(w, rows))
+            * value.denominator != value.numerator * wd):
         raise InternalError("strong duality mismatch")
 
 
 def _check_infeasible(lp: LinearProgram, sol: LPSolution,
                       nonneg: AbstractSet[int] = frozenset()) -> None:
     """The certificate's signs, mult . A == 0 on free variables and >= 0
-    on nonneg ones, and mult . b == -1, all exact."""
-    mult = sol.dual_certificate
-    _check_signs(lp, mult, LESS_EQ, "certificate")
-    for j, v in enumerate(_combination(lp, mult)):
+    on nonneg ones, and mult . b == -1, all exact on the scaled rows."""
+    rows = _int_rows(lp)
+    w, wd = _int_multipliers(rows, sol.dual_certificate)
+    _check_signs(lp, w, LESS_EQ, "certificate")
+    for j, v in enumerate(_combination(lp.num_vars, rows, w)):
         if v < 0 or (v and j not in nonneg):
             raise InternalError(f"certificate combination wrong at var {j}")
-    if sum(m_i * c.rhs for m_i, c in zip(mult, lp.constraints)) != -1:
+    if sum(w_i * rhs for w_i, (_, rhs, _) in zip(w, rows)) != -wd:
         raise InternalError("certificate not normalized")
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import logging
 from fractions import Fraction
@@ -371,3 +372,106 @@ def test_against_vertex_enumeration(data):
     else:
         assert sol.status == OPTIMAL
         assert sol.value == oracle
+
+
+# --- the integer verifier against a Fraction reference --------------------
+
+
+def _reference_check_optimal(lp, sol, nonneg=frozenset()):
+    """_check_optimal's conditions, in its order, on Fractions."""
+    x = sol.point
+    for i, c in enumerate(lp.constraints):
+        lhs = sum(a * x[j] for j, a in c.terms)
+        ok = (lhs <= c.rhs if c.relation == "<="
+              else lhs >= c.rhs if c.relation == ">=" else lhs == c.rhs)
+        if not ok:
+            raise InternalError(f"solution violates constraint {i}")
+    for j in nonneg:
+        if x[j] < 0:
+            raise InternalError(f"negative nonneg variable {j}")
+    if sum(o * v for o, v in zip(lp.objective, x)) != sol.value:
+        raise InternalError("objective mismatch")
+    mult = sol.dual_certificate
+    maximize = lp.sense == "maximize"
+    _reference_signs(lp, mult, "<=" if maximize else ">=", "dual")
+    for j, (v, o) in enumerate(zip(_reference_combination(lp, mult),
+                                   lp.objective)):
+        gap = v - o if maximize else o - v
+        if gap < 0 or (gap and j not in nonneg):
+            raise InternalError(f"dual combination mismatch at var {j}")
+    if sum(m_i * c.rhs for m_i, c in zip(mult, lp.constraints)) != sol.value:
+        raise InternalError("strong duality mismatch")
+
+
+def _reference_check_infeasible(lp, sol, nonneg=frozenset()):
+    mult = sol.dual_certificate
+    _reference_signs(lp, mult, "<=", "certificate")
+    for j, v in enumerate(_reference_combination(lp, mult)):
+        if v < 0 or (v and j not in nonneg):
+            raise InternalError(f"certificate combination wrong at var {j}")
+    if sum(m_i * c.rhs for m_i, c in zip(mult, lp.constraints)) != -1:
+        raise InternalError("certificate not normalized")
+
+
+def _reference_combination(lp, mult):
+    acc = [F(0)] * lp.num_vars
+    for m_i, c in zip(mult, lp.constraints):
+        for j, a in c.terms:
+            acc[j] += m_i * a
+    return acc
+
+
+def _reference_signs(lp, mult, pos, what):
+    neg = ">=" if pos == "<=" else "<="
+    for i, (m_i, c) in enumerate(zip(mult, lp.constraints)):
+        if (c.relation == pos and m_i < 0) or (c.relation == neg and m_i > 0):
+            raise InternalError(f"{what} sign at row {i}")
+
+
+def _verdict(check, lp, sol, nonneg):
+    try:
+        check(lp, sol, nonneg)
+    except InternalError as exc:
+        return str(exc)
+    return None
+
+
+def _assert_same_verdicts(lp, sol, nonneg, q):
+    """Both verifiers accept sol, and give the same verdict on every
+    change of one entry of the point or of the multipliers by +-1/q."""
+    check, reference = ((_check_optimal, _reference_check_optimal)
+                        if sol.status == OPTIMAL else
+                        (_check_infeasible, _reference_check_infeasible))
+    assert _verdict(check, lp, sol, nonneg) is None
+    assert _verdict(reference, lp, sol, nonneg) is None
+    fields = ("point", "dual_certificate") if sol.point else ("dual_certificate",)
+    for field in fields:
+        vec = getattr(sol, field)
+        for k in range(len(vec)):
+            for step in (F(1, q), F(-1, q)):
+                bad = dataclasses.replace(sol, **{field: tuple(
+                    v + step if i == k else v for i, v in enumerate(vec))})
+                assert (_verdict(check, lp, bad, nonneg)
+                        == _verdict(reference, lp, bad, nonneg)), (field, k, step)
+
+
+@given(_boxed_lps(), st.sampled_from(["maximize", "minimize"]),
+       st.sampled_from([1, 2, 3, 7]))
+@settings(max_examples=80, deadline=None)
+def test_verifier_matches_fraction_reference(data, sense, q):
+    n, rows, objective = data
+    lp = linear_program(n, [(dict(enumerate(cs)), rel, b)
+                            for cs, rel, b in rows], objective, sense)
+    sol = solve_lp(lp)
+    _assert_same_verdicts(lp, sol, frozenset(), q)
+
+
+@given(_equality_systems(), st.sampled_from([1, 2, 3, 7]))
+@settings(max_examples=80, deadline=None)
+def test_farkas_verifier_matches_fraction_reference(data, q):
+    n, rows, flagged = data
+    sol = farkas_feasibility(n, [(dict(enumerate(cs)), b) for cs, b in rows],
+                             nonneg=flagged)
+    lp = linear_program(n, [(dict(enumerate(cs)), "=", b) for cs, b in rows],
+                        (0,) * n)
+    _assert_same_verdicts(lp, sol, frozenset(flagged), q)
