@@ -313,7 +313,7 @@ def _edge_rows(n: int, r: int):
     metric facet, expanded into squarefree monomials, where a product of
     monomials is the | of their masks.  Yields (t_vars, pattern, facet
     name, {monomial mask: int coefficient}) with zero coefficients
-    dropped; _edge_label names the row."""
+    dropped; the row's label is I{t_vars}:{pattern}*{name}."""
     pairs = _all_pairs(n)
     facets = _metric_facets(n)
     for size in range(r + 1):
@@ -329,10 +329,6 @@ def _edge_rows(n: int, r: int):
                             m = m1 | m2
                             poly[m] = poly.get(m, 0) + c1 * c2
                     yield t_vars, pattern, name, {m: c for m, c in poly.items() if c}
-
-
-def _edge_label(t_vars: tuple[Pair, ...], pattern: int, name: str) -> str:
-    return f"I{t_vars}:{pattern}*{name}"
 
 
 def edge_monomials(n: int, r: int) -> tuple[Monomial, ...]:
@@ -419,8 +415,9 @@ def check_edge_functional(ef: EdgeFunctional) -> EdgeLefReport:
     the functional is nonnegative on it; reports the minimum value seen
     (the feasibility margin)."""
     _check_edge_caps(ef.n, ef.r)
-    # every stored moment is read by some row, and the rows read them
-    # first in this order, so a missing one is named as the rows would
+    # the rows read every monomial of degree <= r+1, first in this order
+    # (degree, then lexicographic), so a missing moment is named as a
+    # row-by-row read would name it
     moments = [ef.moment(mono) for mono in ((),) + edge_monomials(ef.n, ef.r)]
     scale = math.lcm(*(v.denominator for v in moments))
     value = {m: v.numerator * (scale // v.denominator)
@@ -432,7 +429,7 @@ def check_edge_functional(ef: EdgeFunctional) -> EdgeLefReport:
         if min_val is None or val < min_val:
             min_val = val
         if val < 0 and not first:
-            first = (f"{_edge_label(t_vars, pattern, name)} evaluates to "
+            first = (f"I{t_vars}:{pattern}*{name} evaluates to "
                      f"{Fraction(val, scale)}")
     return EdgeLefReport(ok=not first, detail=first, min_value=(
         None if min_val is None else Fraction(min_val, scale)))

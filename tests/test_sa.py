@@ -11,7 +11,7 @@ from liftgap.csp import (brute_force_opt, cycle, graph_instance,
 from liftgap.errors import HypothesisError, InputError, ParameterError
 from liftgap.lp import linear_program
 from liftgap.sa import (EdgeFunctional, PseudoExpectation, _all_pairs,
-                        _edge_label, _edge_rows, _verify_objective_identity,
+                        _edge_rows, _verify_objective_identity,
                         build_edge_sa_lp, build_sa_lp, check_edge_functional,
                         check_lef, edge_functional_from_json,
                         edge_functional_to_json, edge_monomials,
@@ -383,7 +383,7 @@ def test_edge_rows_match_tuple_expansion(n, r):
     """The bitmask rows are the oracle's, label by label and in order, and
     the LP built from them is the one the oracle's rows give."""
     pairs = _all_pairs(n)
-    rows = [(_edge_label(t_vars, pattern, name),
+    rows = [(f"I{t_vars}:{pattern}*{name}",
              {tuple(e for p, e in enumerate(pairs) if m >> p & 1): c
               for m, c in poly.items()})
             for t_vars, pattern, name, poly in _edge_rows(n, r)]
