@@ -27,7 +27,7 @@ from fractions import Fraction as F
 import pytest
 
 from liftgap.boolfn import (BoolFn, Density, FourierCoeffs, boolfn_to_json,
-                            inverse_transform)
+                            integer_spectrum, inverse_transform)
 from liftgap.cli import main
 from liftgap.lp import farkas_feasibility, linear_program, solve_lp
 from liftgap.csp import (complete, cycle, graph_instance, instance_polynomial,
@@ -42,8 +42,11 @@ from liftgap.sa import (EdgeFunctional, PseudoExpectation, build_edge_sa_lp,
                         build_sa_lp, check_edge_functional, check_lef,
                         edge_functional_to_json, edge_monomials,
                         edge_sa_solve, edge_to_vertex, pe_to_json, sa_value)
-from liftgap.slack import (build_slack_matrix, matrix_to_csv, metric_maxcut,
-                           protocol_tail_probabilities, universal)
+from liftgap.slack import (PolyhedralRelaxation, build_slack_matrix,
+                           matrix_to_csv, metric_maxcut,
+                           protocol_tail_probabilities, slack_functions,
+                           universal)
+from test_slack import _rescaled_metric4
 
 
 _K4_MINUS_EDGE = graph_instance(4, [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4)])
@@ -165,6 +168,31 @@ def _metric_file(n: int) -> str:
         {"coeffs": [str(row.get(e, 0)) for e in range(rel.dim)],
          "b": str(b), "label": label}
         for (row, b), label in zip(rel.inequalities, rel.labels)]})
+
+
+def _slack_text(rel) -> str:
+    """Each slack table of rel as its denominator and numerators, then its
+    cached integer spectrum: the scale and the nonzero (mask, s) pairs."""
+    lines = []
+    for q in slack_functions(rel):
+        entries, scale = integer_spectrum(q)
+        lines.append(f"{q.den} {_row(q.nums)}")
+        lines.append(f"{scale} " + " ".join(f"{a}:{s}" for a, s in entries))
+    return "\n".join(lines)
+
+
+def _oversized_file_relaxation() -> PolyhedralRelaxation:
+    """metric(4)'s rows as a relaxation file would give them, each times a
+    fraction near 2^70, plus a row whose rhs alone is near 2^79: its table
+    entries do not fit in 64 bits."""
+    base = metric_maxcut(4)
+    rows = [({e: a * F(2 ** 70 + i, 3 + i % 4) for e, a in row.items()},
+             rhs * F(2 ** 70 + i, 3 + i % 4))
+            for i, (row, rhs) in enumerate(base.inequalities)]
+    rows.append(({0: F(-5, 7), 5: F(2, 11)}, F(3 ** 50, 11)))
+    return PolyhedralRelaxation(
+        "file:oversized.json", 4, base.dim, rows, base.labels + ("big",),
+        base.assignment_embed, base.instance_embed)
 
 
 _PROTOCOL_FILES = tuple(f"out_{name}.{ext}" for name, ext in (
@@ -309,6 +337,13 @@ OUTPUTS = {
         check_edge_functional(edge_sa_solve(cycle(5), 1)[1])),
     "check_edge_functional(failing)": lambda: _report_text(
         check_edge_functional(_failing_edge_functional())),
+    # slack tables and their cached spectra, from 16-bit to wide lanes
+    "slack_functions(metric(7))": lambda: _slack_text(metric_maxcut(7)),
+    "slack_functions(universal(7,3))": lambda: _slack_text(universal(7, 3)),
+    "slack_functions(rescaled metric(4), points/2)": lambda: _slack_text(
+        _rescaled_metric4(F(1, 2))),
+    "slack_functions(oversized file relaxation)": lambda: _slack_text(
+        _oversized_file_relaxation()),
 }
 
 GOLDEN = {
@@ -358,6 +393,10 @@ GOLDEN = {
     'repr(build_edge_sa_lp(C5,1))': 'e672d105281ee03df850ff49dbb0258335062ae13a3aee0a65d88d0a2017c651',
     'repr(build_edge_sa_lp(K4-e,2))': 'b856a6befb97ee1192b8113b5974bd6bb274738814651f741f811d3eed4f5f7f',
     'restriction_report(failing, no seed)': '163043912d9aeadca6822d71c952ade8b176fbae3e136ef624d33d444b3b5be7',
+    'slack_functions(metric(7))': '75c5e0723e0124d6814b54213558261f21e90dfc1ed55bf5adb07bf574152f72',
+    'slack_functions(oversized file relaxation)': 'e8976dd09c762d5b406b8d0632a77231b1bec325b3a322e1e451dc797d7b8cd4',
+    'slack_functions(rescaled metric(4), points/2)': '4e39167c52ba46180c21f4e844c7d1675eb4a1950863c49812f267376b0b0e0d',
+    'slack_functions(universal(7,3))': '284f9baf1cf9ca616cd94a716199c8312c36a31f14b7e7bb29575d1db47bf575',
     'solve_lp(contradictory bounds)': 'ecf97d0a618fbff043a2c4f8d5a3afe122f76cb92b8872b4da7f1f18f53817c6',
     'solve_lp(minimize)': '2ea5176509409c2a495d38c1c32ad3d6455b8201bc176574e774f8f15e1f9285',
     'symmetric C3 metric(6) c=101/100': 'eb41a609191b6e9c75a6c9a892ec2acda1553eb3d5947d04dfe1ed69f8a4a850',
