@@ -19,11 +19,13 @@ import itertools
 import json
 import logging
 import math
+import sys
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
-from .boolfn import BoolFn, _butterfly, _cache_spectrum
+from .boolfn import BoolFn, _cache_spectrum
 from .caps import caps
 from .csp import (Instance, brute_force_opt, evaluate, instance_polynomial,
                   is_maxcut)
@@ -38,6 +40,103 @@ log = logging.getLogger(__name__)
 # The number type of the slack-table arithmetic; perfbench/run.py records
 # it as this module's backend.
 _mpq = int
+
+# The byte order of `array` items.  Packed lanes are written little-endian
+# and byteswapped after `frombytes` on a big-endian host.
+_BYTE_ORDER = sys.byteorder
+
+# A signed array typecode per lane width in bits that one exists for;
+# wider lanes are unpacked one by one with int.from_bytes.
+_TYPECODES = {array(c).itemsize * 8: c for c in "hilq"}
+
+
+class _Lanes:
+    """Vectors of 2^n integers packed as the w-bit lanes of one Python int
+    (broadword arithmetic, Knuth, TAOCP 4A 7.1.3).  The vector v is the
+    int sum_x v[x] 2^(w x), so sums and integer multiples of packed
+    vectors are packed vectors of the lanewise sums and multiples.
+
+    w is the smallest of 16, 32, 64, 128, ... bits with bound < 2^(w-2),
+    and every vector formed must keep its lanes within the bound.  Adding
+    HIGH, 2^(w-1) in every lane, then puts each lane in (2^(w-2),
+    3 2^(w-2)): the biased lanes are the int's base-2^w digits, and a lane
+    is nonnegative exactly when its top bit is set."""
+
+    def __init__(self, n: int, bound: int):
+        w = 16
+        while bound >> (w - 2):
+            w <<= 1
+        self.width = w
+        self.size = 1 << n
+        self.ones = self._tile(1, w)
+        self.high = self.ones << (w - 1)
+        self._typecode = _TYPECODES.get(w)
+        # pass j of the transform pairs lane x (bit j of x clear) with lane
+        # x + 2^j: its shift in bits, the mask of the lanes with bit j
+        # clear, and HIGH on those lanes
+        self._passes = []
+        for j in range(n):
+            keep = self._tile((1 << (w << j)) - 1, w << (j + 1))
+            self._passes.append((w << j, keep, keep & self.high))
+
+    def _tile(self, block: int, period: int) -> int:
+        """block repeated every `period` bits over all the lanes; the
+        period is a power-of-two multiple of w."""
+        while period < self.width * self.size:
+            block |= block << period
+            period <<= 1
+        return block
+
+    def pack(self, values: Sequence[int]) -> int:
+        """sum_x values[x] 2^(w x), for 2^n values within the bound."""
+        if self._typecode is None:
+            k = self.width // 8
+            data = b"".join(v.to_bytes(k, "little", signed=True)
+                            for v in values)
+        else:
+            items = array(self._typecode, values)
+            if _BYTE_ORDER == "big":
+                items.byteswap()
+            data = items.tobytes()
+        # the digits hold each value mod 2^w; flipping their top bits makes
+        # them the biased lanes
+        return (int.from_bytes(data, "little") ^ self.high) - self.high
+
+    def unpack(self, biased: int) -> Sequence[int]:
+        """The lanes of a packed vector plus HIGH, as signed ints."""
+        # flipping the top bits gives the lanes mod 2^w
+        data = (biased ^ self.high).to_bytes(self.width * self.size // 8,
+                                             "little")
+        if self._typecode is None:
+            k = self.width // 8
+            return [int.from_bytes(data[i:i + k], "little", signed=True)
+                    for i in range(0, len(data), k)]
+        items = array(self._typecode)
+        items.frombytes(data)
+        if _BYTE_ORDER == "big":
+            items.byteswap()
+        return items
+
+    def transform(self, biased: int) -> int:
+        """The Walsh-Hadamard transform of a packed vector plus HIGH, plus
+        HIGH: lane a becomes sum_x v[x] (-1)^popcount(x & a).  Pass j
+        sends the lanes (u, v) at (x, x + 2^j) to (u + v, u - v); on biased
+        lanes that is (u' + v' - 2^(w-1), u' - v' + 2^(w-1))."""
+        for shift, keep, half in self._passes:
+            lo = biased & keep
+            hi = (biased >> shift) & keep
+            biased = lo + hi - half + ((lo - hi + half) << shift)
+        return biased
+
+
+def _integer_row(row: Mapping[int, Fraction],
+                 rhs: Fraction) -> tuple[int, int, list[tuple[int, int]]]:
+    """The row times L, the lcm of its denominators (rhs included):
+    (L, L rhs, [(e, L a_e)])."""
+    scale = math.lcm(rhs.denominator, *(a.denominator for a in row.values()))
+    return (scale, rhs.numerator * (scale // rhs.denominator),
+            [(e, a.numerator * (scale // a.denominator))
+             for e, a in row.items()])
 
 
 class PolyhedralRelaxation:
@@ -72,16 +171,28 @@ class PolyhedralRelaxation:
     def __repr__(self):
         return f"PolyhedralRelaxation({self.name}, R={len(self.inequalities)})"
 
-    def point_columns(self) -> tuple[list[list[int]], int]:
-        """The embedded assignments as integer columns over one common
-        denominator: coordinate e of the point of assignment x is
-        cols[e][x] / den.  Cached; callers enforce the size caps."""
+    def point_columns(self) -> tuple[list[int], int, _Lanes]:
+        """The embedded assignments as packed integer columns over one
+        common denominator: coordinate e of the point of assignment x is
+        lane x of cols[e], over den.  The lanes are wide enough for every
+        slack table and every column's transform: the bound is the larger
+        of max|col_e| 2^n and, over the rows scaled to integers,
+        |b den| + sum_e |a_e| max|col_e|.  Cached; callers enforce the size
+        caps."""
         if self._points is None:
             pts = [self.assignment_embed(x) for x in range(1 << self.n)]
             den = math.lcm(*{v.denominator for pt in pts for v in pt})
             cols = [[v.numerator * (den // v.denominator) for v in col]
                     for col in zip(*pts)]
-            self._points = (cols, den)
+            del pts
+            peak = [max(map(abs, set(col))) for col in cols]
+            bound = max(peak, default=0) << self.n
+            for row, rhs in self.inequalities:
+                _, b, terms = _integer_row(row, rhs)
+                bound = max(bound, abs(b) * den
+                            + sum(abs(a) * peak[e] for e, a in terms))
+            lanes = _Lanes(self.n, bound)
+            self._points = ([lanes.pack(col) for col in cols], den, lanes)
         return self._points
 
 
@@ -190,14 +301,15 @@ def _validate_pairing(rel: PolyhedralRelaxation, inst: Instance,
         log.info("%s: pairing-identity check skipped (n = %d > 12)",
                  rel.name, rel.n)
         return
-    cols, den = rel.point_columns()
+    cols, den, lanes = rel.point_columns()
     nz = [(e, v) for e, v in enumerate(vec) if v]
     scale = math.lcm(*(v.denominator for _, v in nz))
     # scale * den * <vec, embedded x> as integers
     totals = [0] * (1 << rel.n)
     for e, v in nz:
         w = v.numerator * (scale // v.denominator)
-        totals = [t + w * c for t, c in zip(totals, cols[e])]
+        col = lanes.unpack(cols[e] + lanes.high)
+        totals = [t + w * c for t, c in zip(totals, col)]
     for x, total in enumerate(totals):
         if total != evaluate(inst, x) * (scale * den):
             raise InternalError(
@@ -227,41 +339,45 @@ def slack_functions(rel: PolyhedralRelaxation) -> tuple[BoolFn, ...]:
     is rejected; computing the tables therefore doubles as the exhaustive
     point-feasibility check.  Tables are cached on the relaxation.
 
+    Each table is built on the packed lanes of point_columns, with the row
+    scaled to integers: (L b) den in every lane minus sum_e (L a_e) cols[e],
+    a few big-int operations per row.  With HIGH added, the check that
+    every lane is nonnegative is one AND against the lanes' top bits.
+
     Each table comes with its Fourier spectrum cached.  The transform is
     linear, so spec(q_i) is b_i at mask 0 minus sum_e a_ie spec(col_e):
-    each coordinate column that some row uses is transformed once, and
-    its few nonzero entries are combined per row, in place of one
-    transform per table."""
+    each coordinate column that some row uses is transformed once, on its
+    lanes, and its few nonzero entries are combined per row, in place of
+    one transform per table."""
     if rel._slacks is not None:
         return rel._slacks
     n = rel.n
     if n > caps().slack_table_n:
         raise SizeCapError(f"n = {n} exceeds slack table cap")
-    cols, den = rel.point_columns()
-    size = 1 << n
+    cols, den, lanes = rel.point_columns()
+    high = lanes.high
     col_spectra: dict[int, list[tuple[int, int]]] = {}
     out = []
     for i, (row, rhs) in enumerate(rel.inequalities):
-        # with L = scale, the row's common denominator:
-        # L * den * q_i = (L b) den - sum_e (L a_e) cols[e], all integers,
-        # and the butterfly of the constant (L b) den is (L b) den 2^n at 0
-        scale = math.lcm(rhs.denominator, *(a.denominator for a in row.values()))
-        b_int = rhs.numerator * (scale // rhs.denominator) * den
-        table = [b_int] * size
+        # with L the row's scale: L * den * q_i = (L b) den - sum_e (L a_e)
+        # cols[e], all integers, and the transform of the constant (L b) den
+        # is (L b) den 2^n at 0
+        scale, b_int, terms = _integer_row(row, rhs)
+        b_int *= den
+        table = b_int * lanes.ones + high
         spectrum = {0: b_int << n}
-        for e, a in row.items():
-            a_int = a.numerator * (scale // a.denominator)
-            table = [t - a_int * c for t, c in zip(table, cols[e])]
+        for e, a_int in terms:
+            table -= a_int * cols[e]
             if e not in col_spectra:
-                col = _butterfly(cols[e])
+                col = lanes.unpack(lanes.transform(cols[e] + high))
                 col_spectra[e] = [(m, s) for m, s in enumerate(col) if s]
             for m, s in col_spectra[e]:
                 spectrum[m] = spectrum.get(m, 0) - a_int * s
-        if min(table) < 0:
+        if table & high != high:
             raise InternalError(
                 f"{rel.name}: an embedded assignment violates row {i} "
                 f"({rel.labels[i]})")
-        q = BoolFn.from_ints(n, table, scale * den)
+        q = BoolFn.from_ints(n, lanes.unpack(table), scale * den)
         _cache_spectrum(q, sorted(spectrum.items()), (scale * den) << n)
         out.append(q)
     rel._slacks = tuple(out)

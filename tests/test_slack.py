@@ -1,16 +1,22 @@
+import array
 import itertools
 import logging
+import math
+import random
+import re
 from fractions import Fraction
 
 import pytest
 
-from liftgap.boolfn import BoolFn, fourier_transform
+from liftgap import slack
+from liftgap.boolfn import BoolFn, fourier_transform, integer_spectrum
 from liftgap.csp import (brute_force_opt, complete, cycle, evaluate,
                          graph_instance, plant, random_3sat)
 from liftgap.errors import (CertificationError, InputError, InternalError,
                             SizeCapError, UnboundedError)
-from liftgap.slack import (PolyhedralRelaxation, SlackMatrix, _validate_pairing,
-                           _validate_points, build_slack_matrix,
+from liftgap.slack import (PolyhedralRelaxation, SlackMatrix, _Lanes,
+                           _validate_pairing, _validate_points,
+                           build_slack_matrix,
                            factorization_product, factorization_to_csvs,
                            farkas_decompose, lp_value,
                            metric_maxcut, protocol_factorization,
@@ -137,12 +143,138 @@ def test_embedding_checks_raise_internal_error():
     # points scaled by 3 leave the box y <= 1
     with pytest.raises(InternalError, match="violates row"):
         slack_functions(_rescaled_metric4(F(3)))
+    # K y12 <= K - 1 fails by 1 wherever x cuts {1, 2}: the lane just
+    # below zero, at every lane width
+    base = metric_maxcut(4)
+    for k, width in ((10, 16), (20, 32), (40, 64), (80, 128)):
+        label = f"2^{k} y12 <= 2^{k} - 1"
+        rel = PolyhedralRelaxation(
+            "tight", 4, base.dim,
+            base.inequalities[:3] + (({0: F(2 ** k)}, F(2 ** k - 1)),)
+            + base.inequalities[3:],
+            base.labels[:3] + (label,) + base.labels[3:],
+            base.assignment_embed, base.instance_embed)
+        assert rel.point_columns()[2].width == width
+        with pytest.raises(InternalError,
+                           match=rf"violates row 3 \({re.escape(label)}\)"):
+            slack_functions(rel)
     rel = _rescaled_metric4(F(1, 2))
     broken = PolyhedralRelaxation(
         "broken", 4, rel.dim, rel.inequalities, rel.labels,
         rel.assignment_embed, metric_maxcut(4).instance_embed)
     with pytest.raises(InternalError, match="pairing identity"):
         lp_value(broken, cycle(4))
+
+
+def _list_butterfly(vals):
+    out = list(vals)
+    h = 1
+    while h < len(out):
+        for i in range(len(out)):
+            if not i & h:
+                out[i], out[i | h] = out[i] + out[i | h], out[i] - out[i | h]
+        h <<= 1
+    return out
+
+
+def _list_pass_tables(rel):
+    """Each row's (den, nums, spectrum, scale) from integer columns held as
+    lists: one list pass per row term, and a list butterfly of the table
+    before it is reduced to lowest terms."""
+    pts = [rel.assignment_embed(x) for x in range(1 << rel.n)]
+    den = math.lcm(*(v.denominator for pt in pts for v in pt))
+    cols = [[v.numerator * (den // v.denominator) for v in col]
+            for col in zip(*pts)]
+    out = []
+    for row, rhs in rel.inequalities:
+        scale = math.lcm(rhs.denominator,
+                         *(a.denominator for a in row.values()))
+        table = [rhs.numerator * (scale // rhs.denominator) * den] * len(pts)
+        for e, a in row.items():
+            a_int = a.numerator * (scale // a.denominator)
+            table = [t - a_int * c for t, c in zip(table, cols[e])]
+        q = BoolFn.from_ints(rel.n, table, scale * den)
+        spectrum = [(m, s) for m, s in enumerate(_list_butterfly(table)) if s]
+        out.append((q.den, q.nums, spectrum, (scale * den) << rel.n))
+    return out
+
+
+def _packed_tables(rel):
+    return [(q.den, q.nums, *integer_spectrum(q))
+            for q in slack_functions(rel)]
+
+
+def _random_relaxation(seed, magnitude):
+    """Seeded points and rows on n = 4 and six coordinates: rationals with
+    numerators up to `magnitude` in absolute value, negative included, and
+    denominators up to 6.  Each rhs is the row's largest value over the
+    points plus a seeded gap, so every slack is nonnegative."""
+    rng = random.Random(seed)
+
+    def rational():
+        return F(rng.randint(-magnitude, magnitude),
+                 rng.choice((1, 2, 3, 4, 6)))
+
+    pts = [tuple(rational() for _ in range(6)) for _ in range(16)]
+    rows = []
+    for _ in range(8):
+        row = {e: a for e in rng.sample(range(6), rng.randint(0, 6))
+               if (a := rational())}
+        rhs = max(sum(a * pt[e] for e, a in row.items()) for pt in pts)
+        rows.append((row, rhs + abs(rational())))
+    return PolyhedralRelaxation(
+        f"random({seed},{magnitude})", 4, 6, rows,
+        [f"row{i}" for i in range(len(rows))], pts.__getitem__, None)
+
+
+_PROPERTY_CASES = [(seed, magnitude) for magnitude in (1, 40, 2 ** 20, 2 ** 45,
+                                                       2 ** 100)
+                   for seed in range(4)]
+
+
+def test_packed_tables_match_list_passes():
+    widths = set()
+    for case in _PROPERTY_CASES:
+        rel = _random_relaxation(*case)
+        assert _packed_tables(rel) == _list_pass_tables(rel), case
+        widths.add(rel.point_columns()[2].width)
+    rel = _rescaled_metric4(F(1, 2))
+    assert _packed_tables(rel) == _list_pass_tables(rel)
+    assert widths == {16, 32, 64, 128, 256}
+
+
+def test_lane_width_from_bound():
+    assert [_Lanes(2, b).width for b in (0, 2 ** 14 - 1, 2 ** 14,
+                                         2 ** 30 - 1, 2 ** 30, 2 ** 62 - 1,
+                                         2 ** 62, 2 ** 126)] == [
+        16, 16, 32, 32, 64, 64, 128, 256]
+
+
+class _BigEndianArray(array.array):
+    """An array laid out as on a big-endian host: the bytes it takes and
+    gives hold each item big-endian."""
+
+    def frombytes(self, data):
+        super().frombytes(data)
+        self.byteswap()
+
+    def tobytes(self):
+        items = array.array(self.typecode, self)
+        items.byteswap()
+        return items.tobytes()
+
+
+def test_packed_lanes_on_a_big_endian_host(monkeypatch):
+    cases = [(0, 1), (0, 40), (0, 2 ** 20), (0, 2 ** 45)]
+    assert ({_random_relaxation(*c).point_columns()[2].width for c in cases}
+            == {16, 32, 64, 128})
+    expected = [_list_pass_tables(_random_relaxation(*c)) for c in cases]
+    monkeypatch.setattr(slack, "array", _BigEndianArray)
+    # without the byteswap, a big-endian host reads wrong lanes
+    with pytest.raises(InternalError):
+        slack_functions(_random_relaxation(0, 1))
+    monkeypatch.setattr(slack, "_BYTE_ORDER", "big")
+    assert [_packed_tables(_random_relaxation(*c)) for c in cases] == expected
 
 
 def test_skipped_checks_are_logged(caplog):
