@@ -354,18 +354,6 @@ def chang_junta(q: Density, t: Fraction | int, d: int,
                             t=t, success=ok, violations=violations)
 
 
-def is_junta(f: BoolFn, variables: AbstractSet[int]) -> bool:
-    """True iff f(x) = f(y) whenever x and y agree on the given set."""
-    mask = mask_of(variables, f.n)
-    seen: dict[int, int] = {}
-    for idx, val in enumerate(f.nums):
-        key = idx & mask
-        prev = seen.setdefault(key, val)
-        if prev != val:
-            return False
-    return True
-
-
 def junta_support(f: BoolFn) -> frozenset[int]:
     """The unique minimal set f depends on: the union of all subsets
     carrying a nonzero coefficient."""
