@@ -20,10 +20,11 @@ and fast.  Its nonzero integer entries are cached on the table, and the
 coefficients as Fractions are built from them on first read.  A table
 may arrive with its integer spectrum already known: slack.slack_functions
 derives each slack's from its row, as the rhs at mask 0 minus the row's
-combination of the transformed coordinate columns, and `scaled` carries
-a known spectrum over times the factor, so the densities made from
-slacks are never transformed.  Entropy is the single deliberately
-floating-point quantity in the package.
+combination of the transformed coordinate columns (each column is
+packed as the lanes of one int and transformed there, once), and
+`scaled` carries a known spectrum over times the factor, so the
+densities made from slacks are never transformed.  Entropy is the single
+deliberately floating-point quantity in the package.
 """
 
 from __future__ import annotations

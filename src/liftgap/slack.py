@@ -118,8 +118,8 @@ class _Lanes:
         return items
 
     def transform(self, biased: int) -> int:
-        """The Walsh-Hadamard transform of a packed vector plus HIGH, plus
-        HIGH: lane a becomes sum_x v[x] (-1)^popcount(x & a).  Pass j
+        """From a packed vector v plus HIGH, its Walsh-Hadamard transform
+        plus HIGH: lane a holds sum_x v[x] (-1)^popcount(x & a).  Pass j
         sends the lanes (u, v) at (x, x + 2^j) to (u + v, u - v); on biased
         lanes that is (u' + v' - 2^(w-1), u' - v' + 2^(w-1))."""
         for shift, keep, half in self._passes:
