@@ -3,7 +3,7 @@
 Representation: a dense table of 2^n integer numerators `nums` over one
 positive denominator `den`, in lowest terms, so equal functions have
 equal (den, nums).  Every exact operation here (mean, sup norm, density
-checks, transforms, conditionals, junta tests) runs on those integers;
+checks, transforms, junta tests) runs on those integers;
 `values`, the table as Fractions, is built on first use for callers that
 want rationals.  Index bit b of a table position is 1 exactly when
 x_{b+1} = -1; position 0 is the all-ones assignment.  This indexing is
@@ -34,12 +34,12 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import AbstractSet, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .caps import caps
 from .errors import InputError, ParameterError, SizeCapError
 from .rationals import (GammaLike, format_rational, gamma_below_abs,
-                        gamma_count_within, parse_rational)
+                        gamma_count_within, int_vector, parse_rational)
 
 ENTROPY_TOLERANCE = 1e-12  # documented absolute tolerance of entropy_deficit
 
@@ -73,10 +73,10 @@ class BoolFn:
                  "_mean", "_sup")
 
     def __init__(self, n: int, values: Sequence[Fraction]):
-        fracs = [v if type(v) is Fraction else Fraction(v) for v in values]
         # over the lcm of reduced denominators the table is in lowest terms
-        den = math.lcm(*{v.denominator for v in fracs})
-        self._init(n, [v.numerator * (den // v.denominator) for v in fracs], den)
+        nums, den = int_vector(
+            [v if type(v) is Fraction else Fraction(v) for v in values])
+        self._init(n, nums, den)
 
     @classmethod
     def from_ints(cls, n: int, nums: Sequence[int], den: int = 1) -> "BoolFn":
@@ -226,12 +226,12 @@ def fourier_transform(f: BoolFn) -> FourierCoeffs:
 def inverse_transform(c: FourierCoeffs) -> BoolFn:
     if not c.coeffs:
         return BoolFn.constant(c.n, 0)
-    denom = math.lcm(*(v.denominator for v in c.coeffs.values()))
+    ints, denom = int_vector(list(c.coeffs.values()))
     dense = [0] * (1 << c.n)
-    for a, v in c.coeffs.items():
+    for a, v in zip(c.coeffs, ints):
         if a >= 1 << c.n:
             raise InputError("coefficient mask out of range")
-        dense[a] = v.numerator * (denom // v.denominator)
+        dense[a] = v
     return BoolFn.from_ints(c.n, _butterfly(dense), denom)
 
 
@@ -272,27 +272,6 @@ def entropy_deficit(q: Density) -> float:
     t = n - entropy
     q._entropy_deficit = t
     return t
-
-
-def conditional_density(q: Density, variables: AbstractSet[int]) -> Density:
-    """Average q over the variables outside the set; the result lives on
-    the |S| kept variables, re-indexed in increasing order."""
-    kept = sorted(variables)
-    n = q.n
-    mask = mask_of(kept, n)
-    k = len(kept)
-    sums = [0] * (1 << k)
-    bit_of = {v: j for j, v in enumerate(kept)}
-    # compressed index of each table position
-    for idx, val in enumerate(q.fn.nums):
-        if not val:
-            continue
-        c = 0
-        for v, j in bit_of.items():
-            if idx >> (v - 1) & 1:
-                c |= 1 << j
-        sums[c] += val
-    return Density(BoolFn.from_ints(k, sums, q.fn.den << (n - k)))
 
 
 @dataclass(frozen=True)

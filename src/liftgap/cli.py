@@ -114,7 +114,7 @@ def _relaxation(spec: str, n: int,
         rows = [({e: a for e, a in enumerate(map(parse_rational, coeffs))
                   if a}, b) for coeffs, b in rows]
         return PolyhedralRelaxation(f"file:{path}", n, base.dim, rows, labels,
-                                    base.assignment_embed, base.instance_embed)
+                                    base.coordinate, base.instance_embed)
     raise InputError(f"unknown relaxation {spec!r}; "
                      "use metric, universal:<d>, or file:<path>")
 

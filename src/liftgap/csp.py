@@ -388,13 +388,3 @@ def write_dimacs(inst: Instance) -> str:
 def assignment_to_signs(x: int, n: int) -> str:
     """'+-+' string: character i is the sign of x_i."""
     return "".join("-" if x >> i & 1 else "+" for i in range(n))
-
-
-def signs_to_assignment(s: str) -> int:
-    x = 0
-    for i, ch in enumerate(s):
-        if ch == "-":
-            x |= 1 << i
-        elif ch != "+":
-            raise InputError(f"bad sign character {ch!r}")
-    return x

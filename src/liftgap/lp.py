@@ -52,6 +52,7 @@ from typing import AbstractSet, Iterable, Mapping, Sequence
 
 from .caps import caps
 from .errors import InputError, InternalError, SizeCapError
+from .rationals import int_row, int_vector
 
 log = logging.getLogger(__name__)
 
@@ -425,36 +426,18 @@ def _solve_max_dual(lp: LinearProgram) -> LPSolution | None:
                       dual_certificate=tuple(_fold(col_row_sign, res.x, m)))
 
 
-def _int_vector(vec: Sequence[Fraction]) -> tuple[list[int], int]:
-    """(ints, d) with vec == ints / d, d the lcm of the denominators."""
-    d = lcm(*(v.denominator for v in vec))
-    return [v.numerator * (d // v.denominator) for v in vec], d
-
-
-def _int_rows(lp: LinearProgram) -> list[tuple[list[tuple[int, int]], int, int]]:
-    """Each row times s, the lcm of its own denominators (rhs included):
-    (terms, rhs, s), all ints."""
-    rows = []
-    for c in lp.constraints:
-        s = lcm(c.rhs.denominator, *(a.denominator for _, a in c.terms))
-        rows.append(([(j, a.numerator * (s // a.denominator))
-                      for j, a in c.terms],
-                     c.rhs.numerator * (s // c.rhs.denominator), s))
-    return rows
-
-
 def _int_multipliers(rows, mult: Sequence[Fraction]) -> tuple[list[int], int]:
     """(w, D) with mult_i / s_i == w_i / D for each row scale s_i, so that
     sum_i w_i * (scaled row i) is D times mult . (A | b)."""
-    ys, yd = _int_vector(mult)
-    s = lcm(*(s_i for (_, _, s_i), y in zip(rows, ys) if y))
-    return [y * (s // s_i) for (_, _, s_i), y in zip(rows, ys)], yd * s
+    ys, yd = int_vector(mult)
+    s = lcm(*(s_i for (s_i, _, _), y in zip(rows, ys) if y))
+    return [y * (s // s_i) for (s_i, _, _), y in zip(rows, ys)], yd * s
 
 
 def _combination(num_vars: int, rows, w: Sequence[int]) -> list[int]:
     """w . A over the scaled rows, in one pass over their nonzero entries."""
     acc = [0] * num_vars
-    for w_i, (terms, _, _) in zip(w, rows):
+    for w_i, (_, _, terms) in zip(w, rows):
         if w_i:
             for j, a in terms:
                 acc[j] += w_i * a
@@ -478,9 +461,9 @@ def _check_optimal(lp: LinearProgram, sol: LPSolution,
     duality, all exact, on integers: x over the lcm of its denominators,
     each row times the lcm of its own, the multipliers over a common
     denominator."""
-    rows = _int_rows(lp)
-    x, xd = _int_vector(sol.point)
-    for i, ((terms, rhs, _), c) in enumerate(zip(rows, lp.constraints)):
+    rows = [int_row(c.terms, c.rhs) for c in lp.constraints]
+    x, xd = int_vector(sol.point)
+    for i, ((_, rhs, terms), c) in enumerate(zip(rows, lp.constraints)):
         lhs = sum(a * x[j] for j, a in terms)
         rhs *= xd
         ok = (lhs <= rhs if c.relation == LESS_EQ
@@ -491,7 +474,7 @@ def _check_optimal(lp: LinearProgram, sol: LPSolution,
     for j in nonneg:
         if x[j] < 0:
             raise InternalError(f"negative nonneg variable {j}")
-    obj, od = _int_vector(lp.objective)
+    obj, od = int_vector(lp.objective)
     value = sol.value
     if (sum(o * v for o, v in zip(obj, x) if o) * value.denominator
             != value.numerator * od * xd):
@@ -512,7 +495,7 @@ def _check_infeasible(lp: LinearProgram, sol: LPSolution,
                       nonneg: AbstractSet[int] = frozenset()) -> None:
     """The certificate's signs, mult . A == 0 on free variables and >= 0
     on nonneg ones, and mult . b == -1, all exact on the scaled rows."""
-    rows = _int_rows(lp)
+    rows = [int_row(c.terms, c.rhs) for c in lp.constraints]
     w, wd = _int_multipliers(rows, sol.dual_certificate)
     _check_signs(lp, w, LESS_EQ, "certificate")
     for j, v in enumerate(_combination(lp.num_vars, rows, w)):

@@ -5,8 +5,9 @@ r**(1/4).
 fractions.Fraction is the rational type of the public API; values are
 always in lowest terms with positive denominator, which the text form
 relies on.  Comparisons against root thresholds are done on squares and
-fourth powers so every verdict is an integer comparison.  json_value is
-the one mapping from report dataclasses to JSON.
+fourth powers so every verdict is an integer comparison.  int_vector and
+int_row are the one way a rational vector or row is scaled to integers;
+json_value is the one mapping from report dataclasses to JSON.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import fields, is_dataclass
 from fractions import Fraction
-from typing import Callable, Union
+from typing import Callable, Collection, Sequence, Union
 
 from .errors import InputError
 
@@ -23,6 +24,22 @@ def format_rational(x: Fraction | int) -> str:
     """Canonical text: 'p/q' in lowest terms, integers without '/1',
     sign on the numerator."""
     return str(x)
+
+
+def int_vector(vec: Sequence[Fraction]) -> tuple[list[int], int]:
+    """(ints, den) with vec == ints / den, den the lcm of the
+    denominators."""
+    den = math.lcm(*{v.denominator for v in vec})
+    return [v.numerator * (den // v.denominator) for v in vec], den
+
+
+def int_row(terms: Collection[tuple[int, Fraction]], rhs: Fraction,
+            ) -> tuple[int, int, list[tuple[int, int]]]:
+    """The row sum_j a_j y_j (relation) rhs times s, the lcm of its
+    denominators (rhs included): (s, s rhs, [(j, s a_j)])."""
+    scale = math.lcm(rhs.denominator, *{a.denominator for _, a in terms})
+    return (scale, rhs.numerator * (scale // rhs.denominator),
+            [(j, a.numerator * (scale // a.denominator)) for j, a in terms])
 
 
 def json_value(obj: object) -> object:

@@ -36,9 +36,8 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import AbstractSet, Sequence
 
-from .boolfn import (BoolFn, Density, FourierCoeffs, chang_junta,
-                     fourier_transform, integer_spectrum, inverse_transform,
-                     junta_support, mask_of)
+from .boolfn import (BoolFn, Density, chang_junta, fourier_transform,
+                     integer_spectrum, junta_support, mask_of)
 from .caps import caps
 from .csp import Instance, dummy_extend, plant
 from .errors import (ExhaustedError, HypothesisError, InputError,
@@ -198,24 +197,6 @@ def find_good_restriction(densities: Sequence[Density], n: int, m: int,
         f"no good restriction within {max_trials} trials"
         + (f"; hypothesis violations: {'; '.join(bad)}" if bad else ""),
         best_report=best)
-
-
-def decompose_restricted_density(q: Density, S: AbstractSet[int],
-                                 J: AbstractSet[int]) -> tuple[Density, FourierCoeffs]:
-    """Split the conditional of q on S into its junta part (the
-    conditional onto J, a true density) and the error part carrying
-    exactly the coefficients on subsets of S outside J."""
-    if not frozenset(J) <= frozenset(S):
-        raise InputError("J must be contained in S")
-    n = q.n
-    s_mask = mask_of(S, n)
-    j_mask = mask_of(J, n) if J else 0
-    coeffs = fourier_transform(q.fn).coeffs
-    junta_coeffs = {a: v for a, v in coeffs.items() if a & ~j_mask == 0}
-    err_coeffs = {a: v for a, v in coeffs.items()
-                  if a & ~s_mask == 0 and a & ~j_mask != 0}
-    junta_fn = inverse_transform(FourierCoeffs(n, junta_coeffs))
-    return Density(junta_fn), FourierCoeffs(n, err_coeffs)
 
 
 def epsilon_formula(n: int, m: int, d: int) -> float:

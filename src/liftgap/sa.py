@@ -29,7 +29,7 @@ from .csp import Instance, instance_polynomial, is_maxcut
 from .errors import (HypothesisError, InputError, InternalError,
                      ParameterError, SizeCapError)
 from .lp import GREATER_EQ, LinearConstraint, LinearProgram, solve_lp
-from .rationals import format_rational, parse_rational
+from .rationals import format_rational, int_vector, parse_rational
 
 Pair = tuple[int, int]
 Monomial = tuple[Pair, ...]  # sorted tuple of sorted pairs; () is the unit
@@ -419,9 +419,8 @@ def check_edge_functional(ef: EdgeFunctional) -> EdgeLefReport:
     # (degree, then lexicographic), so a missing moment is named as a
     # row-by-row read would name it
     moments = [ef.moment(mono) for mono in ((),) + edge_monomials(ef.n, ef.r)]
-    scale = math.lcm(*(v.denominator for v in moments))
-    value = {m: v.numerator * (scale // v.denominator)
-             for m, v in zip((0,) + _monomial_masks(ef.n, ef.r), moments)}
+    ints, scale = int_vector(moments)
+    value = dict(zip((0,) + _monomial_masks(ef.n, ef.r), ints))
     min_val: int | None = None
     first = ""
     for t_vars, pattern, name, poly in _edge_rows(ef.n, ef.r):

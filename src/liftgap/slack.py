@@ -5,7 +5,10 @@ Q^D) plus a polyhedron given by inequalities <A_i, y> <= b_i.  The slack
 of constraint i at an assignment is q_i(x) = b_i - <A_i, x~>, a
 nonnegative function on the cube; whether c - instance is a nonnegative
 combination of the slacks is decided exactly, in both directions, with
-certificates.
+certificates.  Coordinate e of the assignment embedding, x -> x~_e, is a
+BoolFn table: the cut indicator [x_i != x_j] for metric, the character
+chi_m for universal, so the embedded points are integer columns over a
+common denominator.
 
 Also here: the slack matrix M[G, x] = c - G(x) over low-optimum Max Cut
 instances, the edge-sampling protocol matrix M' that approximates it
@@ -25,14 +28,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
-from .boolfn import BoolFn, _cache_spectrum
+from .boolfn import BoolFn, _cache_spectrum, vars_of
 from .caps import caps
 from .csp import (Instance, brute_force_opt, evaluate, instance_polynomial,
                   is_maxcut)
 from .errors import (CertificationError, InputError, InternalError,
                      SizeCapError, UnboundedError)
 from .lp import farkas_feasibility, linear_program, solve_lp
-from .rationals import format_rational
+from .rationals import format_rational, int_row, int_vector
 from .sa import _indicators, sa_variable_masks
 
 log = logging.getLogger(__name__)
@@ -129,20 +132,12 @@ class _Lanes:
         return biased
 
 
-def _integer_row(row: Mapping[int, Fraction],
-                 rhs: Fraction) -> tuple[int, int, list[tuple[int, int]]]:
-    """The row times L, the lcm of its denominators (rhs included):
-    (L, L rhs, [(e, L a_e)])."""
-    scale = math.lcm(rhs.denominator, *(a.denominator for a in row.values()))
-    return (scale, rhs.numerator * (scale // rhs.denominator),
-            [(e, a.numerator * (scale // a.denominator))
-             for e, a in row.items()])
-
-
 class PolyhedralRelaxation:
     """Immutable bundle: dimension, inequality list (stable indices), and
     the two embeddings.  Inequality i is ({e: a_e}, b), the row
-    sum_e a_e y_e <= b with its zero coefficients left out.  Instances of
+    sum_e a_e y_e <= b with its zero coefficients left out.  The
+    assignment embedding is given by its coordinates: coordinate(e) is
+    the table of x -> x~_e, a BoolFn on the n variables.  Instances of
     this class are built by the module factories; the embedding identity
     and point feasibility are checked exhaustively (n <= 12) on first
     use."""
@@ -150,7 +145,7 @@ class PolyhedralRelaxation:
     def __init__(self, name: str, n: int, dim: int,
                  inequalities: Sequence[tuple[Mapping[int, Fraction], Fraction]],
                  labels: Sequence[str],
-                 assignment_embed: Callable[[int], tuple[Fraction, ...]],
+                 coordinate: Callable[[int], BoolFn],
                  instance_embed: Callable[[Instance], tuple[Fraction, ...]]):
         if len(labels) != len(inequalities):
             raise InputError("one label per inequality required")
@@ -163,7 +158,7 @@ class PolyhedralRelaxation:
         self.dim = dim
         self.inequalities = tuple(inequalities)
         self.labels = tuple(labels)
-        self.assignment_embed = assignment_embed
+        self.coordinate = coordinate
         self.instance_embed = instance_embed
         self._points = None
         self._slacks = None
@@ -172,23 +167,22 @@ class PolyhedralRelaxation:
         return f"PolyhedralRelaxation({self.name}, R={len(self.inequalities)})"
 
     def point_columns(self) -> tuple[list[int], int, _Lanes]:
-        """The embedded assignments as packed integer columns over one
-        common denominator: coordinate e of the point of assignment x is
-        lane x of cols[e], over den.  The lanes are wide enough for every
-        slack table and every column's transform: the bound is the larger
-        of max|col_e| 2^n and, over the rows scaled to integers,
-        |b den| + sum_e |a_e| max|col_e|.  Cached; callers enforce the size
-        caps."""
+        """The coordinate tables as packed integer columns over one common
+        denominator, the lcm of their dens: coordinate e of the point of
+        assignment x is lane x of cols[e], over den.  The lanes are wide
+        enough for every slack table and every column's transform: the
+        bound is the larger of max|col_e| 2^n and, over the rows scaled to
+        integers, |b den| + sum_e |a_e| max|col_e|.  Cached; callers
+        enforce the size caps."""
         if self._points is None:
-            pts = [self.assignment_embed(x) for x in range(1 << self.n)]
-            den = math.lcm(*{v.denominator for pt in pts for v in pt})
-            cols = [[v.numerator * (den // v.denominator) for v in col]
-                    for col in zip(*pts)]
-            del pts
+            fns = [self.coordinate(e) for e in range(self.dim)]
+            den = math.lcm(*{f.den for f in fns})
+            cols = [f.nums if f.den == den
+                    else [v * (den // f.den) for v in f.nums] for f in fns]
             peak = [max(map(abs, set(col))) for col in cols]
             bound = max(peak, default=0) << self.n
             for row, rhs in self.inequalities:
-                _, b, terms = _integer_row(row, rhs)
+                _, b, terms = int_row(row.items(), rhs)
                 bound = max(bound, abs(b) * den
                             + sum(abs(a) * peak[e] for e, a in terms))
             lanes = _Lanes(self.n, bound)
@@ -206,26 +200,29 @@ def metric_maxcut(n: int) -> PolyhedralRelaxation:
     dim = len(pairs)
     zero, one, two = Fraction(0), Fraction(1), Fraction(2)
     rows: list[tuple[dict[int, Fraction], Fraction]] = []
+    # labels are interned: reports keep them, and relaxations of one shape
+    # share them
     labels: list[str] = []
     for e in pairs:
         rows.append(({index[e]: -one}, zero))
-        labels.append(f"y{e}>=0")
+        labels.append(sys.intern(f"y{e}>=0"))
     for e in pairs:
         rows.append(({index[e]: one}, one))
-        labels.append(f"y{e}<=1")
+        labels.append(sys.intern(f"y{e}<=1"))
     for i, j, k in itertools.combinations(range(1, n + 1), 3):
         eij, eik, ejk = (i, j), (i, k), (j, k)
         for long_e, a, b in ((eij, eik, ejk), (eik, eij, ejk), (ejk, eij, eik)):
             rows.append(({index[long_e]: one, index[a]: -one, index[b]: -one},
                          zero))
-            labels.append(f"y{long_e}<=y{a}+y{b}")
+            labels.append(sys.intern(f"y{long_e}<=y{a}+y{b}"))
         rows.append(({index[eij]: one, index[eik]: one, index[ejk]: one}, two))
-        labels.append(f"y{eij}+y{eik}+y{ejk}<=2")
+        labels.append(sys.intern(f"y{eij}+y{eik}+y{ejk}<=2"))
 
-    def embed_assignment(x: int) -> tuple[Fraction, ...]:
-        return tuple(
-            one if ((x >> (i - 1)) ^ (x >> (j - 1))) & 1 else zero
-            for i, j in pairs)
+    def coordinate(e: int) -> BoolFn:
+        """The cut indicator [x_i != x_j] of pair e = (i, j)."""
+        i, j = pairs[e]
+        return BoolFn.from_ints(n, [((x >> (i - 1)) ^ (x >> (j - 1))) & 1
+                                    for x in range(1 << n)])
 
     def embed_instance(inst: Instance) -> tuple[Fraction, ...]:
         if inst.n != n:
@@ -239,7 +236,7 @@ def metric_maxcut(n: int) -> PolyhedralRelaxation:
         return tuple(vec)
 
     return PolyhedralRelaxation(f"metric({n})", n, dim, rows, labels,
-                                embed_assignment, embed_instance)
+                                coordinate, embed_instance)
 
 
 def universal(n: int, d: int) -> PolyhedralRelaxation:
@@ -263,13 +260,11 @@ def universal(n: int, d: int) -> PolyhedralRelaxation:
     for s_mask, minus, terms in _indicators(n, d):
         rows.append(({index[alpha]: negated[sign] for alpha, sign in terms},
                      zero))
-        labels.append(f"ind(S={s_mask},a={minus})")
+        labels.append(sys.intern(f"ind(S={s_mask},a={minus})"))
 
-    minus_one = -one
-
-    def embed_assignment(x: int) -> tuple[Fraction, ...]:
-        return tuple(minus_one if (m & x).bit_count() & 1 else one
-                     for m in masks)
+    def coordinate(e: int) -> BoolFn:
+        """The character chi_m of mask m = masks[e]."""
+        return BoolFn.character(n, vars_of(masks[e]))
 
     def embed_instance(inst: Instance) -> tuple[Fraction, ...]:
         if inst.n != n:
@@ -281,7 +276,7 @@ def universal(n: int, d: int) -> PolyhedralRelaxation:
         return tuple(poly.get(m) for m in masks)
 
     return PolyhedralRelaxation(f"universal({n},{d})", n, dim, rows, labels,
-                                embed_assignment, embed_instance)
+                                coordinate, embed_instance)
 
 
 def _validate_points(rel: PolyhedralRelaxation) -> None:
@@ -302,14 +297,13 @@ def _validate_pairing(rel: PolyhedralRelaxation, inst: Instance,
                  rel.name, rel.n)
         return
     cols, den, lanes = rel.point_columns()
-    nz = [(e, v) for e, v in enumerate(vec) if v]
-    scale = math.lcm(*(v.denominator for _, v in nz))
+    ints, scale = int_vector(vec)
     # scale * den * <vec, embedded x> as integers
     totals = [0] * (1 << rel.n)
-    for e, v in nz:
-        w = v.numerator * (scale // v.denominator)
-        col = lanes.unpack(cols[e] + lanes.high)
-        totals = [t + w * c for t, c in zip(totals, col)]
+    for e, w in enumerate(ints):
+        if w:
+            col = lanes.unpack(cols[e] + lanes.high)
+            totals = [t + w * c for t, c in zip(totals, col)]
     for x, total in enumerate(totals):
         if total != evaluate(inst, x) * (scale * den):
             raise InternalError(
@@ -336,7 +330,8 @@ def lp_value(rel: PolyhedralRelaxation, inst: Instance) -> Fraction:
 def slack_functions(rel: PolyhedralRelaxation) -> tuple[BoolFn, ...]:
     """One table per inequality: q_i(x) = b_i - <A_i, x~>.  A negative
     entry would mean an embedded assignment outside the polyhedron, which
-    is rejected; computing the tables therefore doubles as the exhaustive
+    is rejected as an InputError (a relaxation file may cut one off);
+    computing the tables therefore doubles as the exhaustive
     point-feasibility check.  Tables are cached on the relaxation.
 
     Each table is built on the packed lanes of point_columns, with the row
@@ -362,7 +357,7 @@ def slack_functions(rel: PolyhedralRelaxation) -> tuple[BoolFn, ...]:
         # with L the row's scale: L * den * q_i = (L b) den - sum_e (L a_e)
         # cols[e], all integers, and the transform of the constant (L b) den
         # is (L b) den 2^n at 0
-        scale, b_int, terms = _integer_row(row, rhs)
+        scale, b_int, terms = int_row(row.items(), rhs)
         b_int *= den
         table = b_int * lanes.ones + high
         spectrum = {0: b_int << n}
@@ -374,7 +369,7 @@ def slack_functions(rel: PolyhedralRelaxation) -> tuple[BoolFn, ...]:
             for m, s in col_spectra[e]:
                 spectrum[m] = spectrum.get(m, 0) - a_int * s
         if table & high != high:
-            raise InternalError(
+            raise InputError(
                 f"{rel.name}: an embedded assignment violates row {i} "
                 f"({rel.labels[i]})")
         q = BoolFn.from_ints(n, lanes.unpack(table), scale * den)

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from liftgap.errors import InputError, ParameterError, SizeCapError
 from liftgap.boolfn import (BoolFn, Density, ENTROPY_TOLERANCE, boolfn_from_json,
-                            boolfn_to_json, chang_junta, conditional_density,
-                            entropy_deficit, fourier_transform, inverse_transform,
+                            boolfn_to_json, chang_junta, entropy_deficit,
+                            fourier_transform, inverse_transform,
                             junta_support, mask_of)
 
 F = Fraction
@@ -100,26 +100,6 @@ def test_entropy_examples():
     assert entropy_deficit(majority3_density()) == pytest.approx(1, abs=ENTROPY_TOLERANCE)
     point = Density(BoolFn(n, [F(1 << n)] + [F(0)] * ((1 << n) - 1)))
     assert entropy_deficit(point) == pytest.approx(n, abs=ENTROPY_TOLERANCE)
-
-
-def test_conditional_density():
-    uni = Density(BoolFn.constant(3, 1))
-    assert conditional_density(uni, {2, 3}).fn == BoolFn.constant(2, 1)
-
-    dictator = Density(BoolFn(1, [F(2), F(0)]))
-    lifted = Density(BoolFn(3, [F(2) if not (i & 1) else F(0) for i in range(8)]))
-    assert conditional_density(lifted, {1}).fn == dictator.fn
-
-    # majority on 3 bits conditioned on the first coordinate: 1 + x1/2,
-    # oracle = averaging the table over x2, x3 by hand
-    cond = conditional_density(majority3_density(), {1})
-    assert cond.fn.values == (F(3, 2), F(1, 2))
-
-
-def test_conditional_density_reindexes():
-    f = BoolFn(3, [F(1)] * 8)
-    g = conditional_density(Density(f), {3})
-    assert g.n == 1
 
 
 def test_density_validation():

@@ -302,8 +302,10 @@ def test_file_relaxation_matches_metric(capsys, tmp_path, triangle_file):
              '[{"coeffs": ["1", "0", "0"], "b": "1", "label": 7}]}'),
     ("file", '{"embed": "metric", "inequalities": '
              '[{"coeffs": "100", "b": "1"}]}'),
+    ("file", '{"embed": "metric", "inequalities": '
+             '[{"coeffs": ["-1", "0", "0"], "b": "-1"}]}'),
 ], ids=["bad-level", "not-json", "no-inequalities", "file-embed",
-        "int-label", "string-coeffs"])
+        "int-label", "string-coeffs", "cuts-off-point"])
 def test_malformed_relaxation_is_input_error(capsys, tmp_path, triangle_file,
                                              spec, content):
     if content is not None:

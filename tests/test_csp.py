@@ -8,8 +8,8 @@ from liftgap.csp import (CUT_PREDICATE, Constraint, Instance, Predicate,
                          assignment_to_signs, brute_force_opt,
                          complete, cycle, dummy_extend, evaluate, graph_instance,
                          instance_polynomial, parse_dimacs_cnf, parse_edge_list,
-                         plant, random_3sat, random_graph, signs_to_assignment,
-                         write_dimacs, write_edge_list)
+                         plant, random_3sat, random_graph, write_dimacs,
+                         write_edge_list)
 
 F = Fraction
 
@@ -179,8 +179,7 @@ def test_dimacs_semantics():
     # clause (x1 or not x2 or x3) fails only at x1=F, x2=T, x3=F;
     # +1 encodes true, table index bit means -1
     inst = parse_dimacs_cnf("p cnf 3 1\n1 -2 3 0\n")
-    falsifying = signs_to_assignment("-+-")
-    assert evaluate(inst, falsifying) == 0
+    assert evaluate(inst, 0b101) == 0
     sat_count = sum(evaluate(inst, x) == 1 for x in range(8))
     assert sat_count == 7
 
@@ -200,9 +199,6 @@ def test_dimacs_errors(text):
 
 def test_signs_conversion():
     assert assignment_to_signs(0b010, 3) == "+-+"
-    assert signs_to_assignment("+-+") == 0b010
-    with pytest.raises(InputError):
-        signs_to_assignment("+x")
 
 
 def test_predicate_validation():

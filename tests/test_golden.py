@@ -192,7 +192,7 @@ def _oversized_file_relaxation() -> PolyhedralRelaxation:
     rows.append(({0: F(-5, 7), 5: F(2, 11)}, F(3 ** 50, 11)))
     return PolyhedralRelaxation(
         "file:oversized.json", 4, base.dim, rows, base.labels + ("big",),
-        base.assignment_embed, base.instance_embed)
+        base.coordinate, base.instance_embed)
 
 
 _PROTOCOL_FILES = tuple(f"out_{name}.{ext}" for name, ext in (

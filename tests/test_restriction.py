@@ -7,12 +7,12 @@ from fractions import Fraction
 import pytest
 
 from liftgap.boolfn import (BoolFn, Density, FourierCoeffs,
-                            fourier_transform, junta_support, mask_of)
+                            fourier_transform, inverse_transform,
+                            junta_support, mask_of)
 from liftgap.csp import cycle
 from liftgap.errors import (ExhaustedError, HypothesisError, InputError,
                             InternalError, ParameterError, SizeCapError)
 from liftgap.restriction import (antidiagonal_restriction, check_restriction,
-                                 decompose_restricted_density,
                                  detect_symmetric_structure, epsilon_formula,
                                  find_good_restriction,
                                  main_inequality_experiment,
@@ -139,37 +139,21 @@ def test_restriction_gamma_is_exact_fourth_power():
     assert gamma.fourth_power == F((16 * 3 * 8 * 2) ** 2, 12)
 
 
-def test_decompose_uniform_has_zero_error():
-    uniform = Density(BoolFn.constant(4, 1))
-    junta, err = decompose_restricted_density(uniform, {1, 2}, {1})
-    assert junta.fn == BoolFn.constant(4, 1)
-    assert err.coeffs == {}
-
-
-def test_decompose_product_density():
-    # (1 + x1)(1 + x2) on 2 variables; S = {1,2}, J = {1}
-    prod = Density(BoolFn(2, [F(4), F(0), F(0), F(0)]))
-    junta, err = decompose_restricted_density(prod, {1, 2}, {1})
-    assert fourier_transform(junta.fn).coeffs == {0: F(1), 0b01: F(1)}
-    assert err.coeffs == {0b10: F(1), 0b11: F(1)}
-
-
-def test_decompose_requires_nested_sets():
-    with pytest.raises(InputError):
-        decompose_restricted_density(Density(BoolFn.constant(3, 1)), {1}, {2})
-
-
 def test_decompose_linearity_under_functional():
+    # the conditional of q on S = {1, 2} splits into its junta part on
+    # J = {1}, as a table, and the coefficients inside S outside J
     prod = Density(BoolFn(4, [F(4) if x & 0b11 == 0 else F(0)
                               for x in range(16)]))
-    junta, err = decompose_restricted_density(prod, {1, 2}, {1})
+    coeffs = fourier_transform(prod.fn).coeffs
+    junta = inverse_transform(FourierCoeffs(4, {
+        a: v for a, v in coeffs.items() if a & ~0b01 == 0}))
+    err = FourierCoeffs(4, {a: v for a, v in coeffs.items()
+                            if a & ~0b11 == 0 and a & ~0b01})
+    conditional = FourierCoeffs(4, {a: v for a, v in coeffs.items()
+                                    if a & ~0b11 == 0})
     _, pe = sa_value(cycle(4), 2)
-    s_mask = mask_of({1, 2}, 4)
-    conditional = FourierCoeffs(4, {
-        a: v for a, v in fourier_transform(prod.fn).coeffs.items()
-        if a & ~s_mask == 0})
-    lhs = pe_apply(pe, conditional)
-    assert lhs == pe_apply(pe, junta.fn) + pe_apply(pe, err)
+    assert err.coeffs == {0b10: F(1), 0b11: F(1)}
+    assert pe_apply(pe, conditional) == pe_apply(pe, junta) + pe_apply(pe, err)
 
 
 def test_epsilon_formula_decreasing():

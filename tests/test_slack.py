@@ -14,6 +14,7 @@ from liftgap.csp import (brute_force_opt, complete, cycle, evaluate,
                          graph_instance, plant, random_3sat)
 from liftgap.errors import (CertificationError, InputError, InternalError,
                             SizeCapError, UnboundedError)
+from liftgap.sa import sa_variable_masks
 from liftgap.slack import (PolyhedralRelaxation, SlackMatrix, _Lanes,
                            _validate_pairing, _validate_points,
                            build_slack_matrix,
@@ -83,9 +84,15 @@ def test_slack_functions_metric3():
     assert set(perim.values) == {F(0), F(2)}
 
 
+def _fraction_points(rel):
+    """The embedded assignments as tuples of Fractions, read off the
+    coordinate tables: point x is (coordinate(e).values[x] for each e)."""
+    return list(zip(*(rel.coordinate(e).values for e in range(rel.dim))))
+
+
 def _slacks_from_definition(rel):
     """b_i - <A_i, embedded x>, in Fraction arithmetic, one list per row."""
-    points = [rel.assignment_embed(x) for x in range(1 << rel.n)]
+    points = _fraction_points(rel)
     return [[rhs - sum(row.get(e, 0) * p for e, p in enumerate(pt))
              for pt in points]
             for row, rhs in rel.inequalities]
@@ -102,7 +109,7 @@ def _rescaled_metric4(point_scale):
     rows.append(({0: F(1), 1: F(1, 3)}, F(4, 3)))
     return PolyhedralRelaxation(
         "rescaled", 4, base.dim, rows, base.labels + ("mixed",),
-        lambda x: tuple(v * point_scale for v in base.assignment_embed(x)),
+        lambda e: base.coordinate(e).scaled(point_scale),
         lambda inst: tuple(v / point_scale for v in base.instance_embed(inst)))
 
 
@@ -140,8 +147,10 @@ def test_row_spectra_equal_the_butterfly(rel):
 
 
 def test_embedding_checks_raise_internal_error():
-    # points scaled by 3 leave the box y <= 1
-    with pytest.raises(InternalError, match="violates row"):
+    # rows that cut off an embedded point are an input error, as a
+    # relaxation file may give them; a failed pairing identity is a bug.
+    # Points scaled by 3 leave the box y <= 1
+    with pytest.raises(InputError, match="violates row"):
         slack_functions(_rescaled_metric4(F(3)))
     # K y12 <= K - 1 fails by 1 wherever x cuts {1, 2}: the lane just
     # below zero, at every lane width
@@ -153,15 +162,15 @@ def test_embedding_checks_raise_internal_error():
             base.inequalities[:3] + (({0: F(2 ** k)}, F(2 ** k - 1)),)
             + base.inequalities[3:],
             base.labels[:3] + (label,) + base.labels[3:],
-            base.assignment_embed, base.instance_embed)
+            base.coordinate, base.instance_embed)
         assert rel.point_columns()[2].width == width
-        with pytest.raises(InternalError,
+        with pytest.raises(InputError,
                            match=rf"violates row 3 \({re.escape(label)}\)"):
             slack_functions(rel)
     rel = _rescaled_metric4(F(1, 2))
     broken = PolyhedralRelaxation(
         "broken", 4, rel.dim, rel.inequalities, rel.labels,
-        rel.assignment_embed, metric_maxcut(4).instance_embed)
+        rel.coordinate, metric_maxcut(4).instance_embed)
     with pytest.raises(InternalError, match="pairing identity"):
         lp_value(broken, cycle(4))
 
@@ -181,7 +190,7 @@ def _list_pass_tables(rel):
     """Each row's (den, nums, spectrum, scale) from integer columns held as
     lists: one list pass per row term, and a list butterfly of the table
     before it is reduced to lowest terms."""
-    pts = [rel.assignment_embed(x) for x in range(1 << rel.n)]
+    pts = _fraction_points(rel)
     den = math.lcm(*(v.denominator for pt in pts for v in pt))
     cols = [[v.numerator * (den // v.denominator) for v in col]
             for col in zip(*pts)]
@@ -222,14 +231,69 @@ def _random_relaxation(seed, magnitude):
                if (a := rational())}
         rhs = max(sum(a * pt[e] for e, a in row.items()) for pt in pts)
         rows.append((row, rhs + abs(rational())))
+    cols = [BoolFn(4, col) for col in zip(*pts)]
     return PolyhedralRelaxation(
         f"random({seed},{magnitude})", 4, 6, rows,
-        [f"row{i}" for i in range(len(rows))], pts.__getitem__, None)
+        [f"row{i}" for i in range(len(rows))], cols.__getitem__, None)
 
 
 _PROPERTY_CASES = [(seed, magnitude) for magnitude in (1, 40, 2 ** 20, 2 ** 45,
                                                        2 ** 100)
                    for seed in range(4)]
+
+
+def _reference_point_columns(rel):
+    """What point_columns packs, from the Fraction point tuples: the
+    columns over the lcm of every entry's denominator, that lcm, and the
+    lane width for the bound its docstring gives."""
+    pts = _fraction_points(rel)
+    den = math.lcm(*(v.denominator for pt in pts for v in pt))
+    cols = [[v.numerator * (den // v.denominator) for v in col]
+            for col in zip(*pts)]
+    peak = [max(abs(v) for v in col) for col in cols]
+    bound = max(peak) << rel.n
+    for row, rhs in rel.inequalities:
+        scale = math.lcm(rhs.denominator,
+                         *(a.denominator for a in row.values()))
+        bound = max(bound, int(abs(rhs) * scale) * den
+                    + sum(int(abs(a) * scale) * peak[e]
+                          for e, a in row.items()))
+    return cols, den, _Lanes(rel.n, bound).width
+
+
+def test_point_columns_match_fraction_points():
+    rels = [_rescaled_metric4(F(1, 2))] + [_random_relaxation(*case)
+                                            for case in _PROPERTY_CASES]
+    mixed = 0
+    for rel in rels:
+        cols, den, lanes = rel.point_columns()
+        assert ([list(lanes.unpack(c + lanes.high)) for c in cols], den,
+                lanes.width) == _reference_point_columns(rel), rel
+        mixed += len({rel.coordinate(e).den for e in range(rel.dim)}) > 1
+    # most random cases rescale some columns to the common den
+    assert mixed > len(rels) // 2
+
+
+@pytest.mark.parametrize("n, d", [
+    *((n, None) for n in range(3, 7)),
+    *((n, d) for n in range(3, 7) for d in range(min(n, 3) + 1)),
+])
+def test_coordinates_are_the_documented_embedding(n, d):
+    if d is None:
+        # metric(n): the cut indicator [x_i != x_j], pairs in lexicographic
+        # order
+        rel = metric_maxcut(n)
+        expected = [[F(x >> (i - 1) & 1 != x >> (j - 1) & 1)
+                     for x in range(1 << n)]
+                    for i, j in itertools.combinations(range(1, n + 1), 2)]
+    else:
+        # universal(n, d): the character chi_m of mask 0, then of each mask
+        # of sa_variable_masks(n, d)
+        rel = universal(n, d)
+        expected = [[F((-1) ** (m & x).bit_count()) for x in range(1 << n)]
+                    for m in (0,) + sa_variable_masks(n, d)]
+    assert rel.dim == len(expected)
+    assert [list(rel.coordinate(e).values) for e in range(rel.dim)] == expected
 
 
 def test_packed_tables_match_list_passes():
@@ -270,8 +334,9 @@ def test_packed_lanes_on_a_big_endian_host(monkeypatch):
             == {16, 32, 64, 128})
     expected = [_list_pass_tables(_random_relaxation(*c)) for c in cases]
     monkeypatch.setattr(slack, "array", _BigEndianArray)
-    # without the byteswap, a big-endian host reads wrong lanes
-    with pytest.raises(InternalError):
+    # without the byteswap, a big-endian host reads wrong lanes, and some
+    # table has a negative lane
+    with pytest.raises(InputError, match="violates row"):
         slack_functions(_random_relaxation(0, 1))
     monkeypatch.setattr(slack, "_BYTE_ORDER", "big")
     assert [_packed_tables(_random_relaxation(*c)) for c in cases] == expected
@@ -293,7 +358,7 @@ def test_relaxation_rejects_bad_coordinate(row):
     base = metric_maxcut(3)
     with pytest.raises(InputError, match="coordinates"):
         PolyhedralRelaxation("bad", 3, base.dim, [({0: F(1)}, F(1)), (row, F(1))],
-                             ["ok", "bad"], base.assignment_embed,
+                             ["ok", "bad"], base.coordinate,
                              base.instance_embed)
 
 
@@ -476,6 +541,6 @@ def test_universal_unbounded_is_error():
     rel = universal(3, 2)
     stripped = PolyhedralRelaxation(
         "cone", 3, rel.dim, rel.inequalities[2:], rel.labels[2:],
-        rel.assignment_embed, rel.instance_embed)
+        rel.coordinate, rel.instance_embed)
     with pytest.raises(UnboundedError):
         lp_value(stripped, cycle(3))
