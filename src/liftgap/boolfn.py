@@ -18,13 +18,15 @@ i-1, consistent with the table indexing.
 The transform is the integer butterfly on the numerators, so it is exact
 and fast.  Its nonzero integer entries are cached on the table, and the
 coefficients as Fractions are built from them on first read.  A table
-may arrive with its integer spectrum already known: slack.slack_functions
-derives each slack's from its row, as the rhs at mask 0 minus the row's
-combination of the transformed coordinate columns (each column is
-packed as the lanes of one int and transformed there, once), and
-`scaled` carries a known spectrum over times the factor, so the
-densities made from slacks are never transformed.  Entropy is the single
-deliberately floating-point quantity in the package.
+may arrive with its integer spectrum already known, and then it is never
+transformed: a character chi_alpha is the single entry 2^n at alpha, a
+relaxation coordinate comes with its closed form, slack.slack_functions
+derives each slack's from its row (the rhs at mask 0 minus the row's
+combination of the coordinates' spectra), and `scaled` carries a known
+spectrum over times the factor.  The mean is the mask-0 entry of a known
+spectrum.  The table's (min, max) is cached once for the sup norm and
+the density checks, and `scaled` carries it over too.  Entropy is the
+single deliberately floating-point quantity in the package.
 """
 
 from __future__ import annotations
@@ -70,7 +72,7 @@ class BoolFn:
     convention."""
 
     __slots__ = ("n", "nums", "den", "_values", "_spectrum", "_coeffs",
-                 "_mean", "_sup")
+                 "_mean", "_range")
 
     def __init__(self, n: int, values: Sequence[Fraction]):
         # over the lcm of reduced denominators the table is in lowest terms
@@ -109,7 +111,7 @@ class BoolFn:
         self._spectrum = None
         self._coeffs = None
         self._mean = None
-        self._sup = None
+        self._range = None
 
     @property
     def values(self) -> tuple[Fraction, ...]:
@@ -131,28 +133,45 @@ class BoolFn:
         return f"BoolFn(n={self.n})"
 
     def mean(self) -> Fraction:
+        """The coefficient at mask 0: read off a known spectrum, whose
+        entries are in increasing mask order, else summed."""
         if self._mean is None:
-            self._mean = Fraction(sum(self.nums), self.den << self.n)
+            if self._spectrum is None:
+                self._mean = Fraction(sum(self.nums), self.den << self.n)
+            else:
+                entries, scale = self._spectrum
+                s = entries[0][1] if entries and entries[0][0] == 0 else 0
+                self._mean = Fraction(s, scale)
         return self._mean
 
+    def _num_range(self) -> tuple[int, int]:
+        """(min(nums), max(nums)), cached."""
+        if self._range is None:
+            self._range = (min(self.nums), max(self.nums))
+        return self._range
+
     def sup_norm(self) -> Fraction:
-        if self._sup is None:
-            self._sup = Fraction(max(max(self.nums), -min(self.nums)), self.den)
-        return self._sup
+        lo, hi = self._num_range()
+        return Fraction(max(hi, -lo), self.den)
 
     def scaled(self, factor: Fraction | int) -> "BoolFn":
         """The function times a rational factor, exactly."""
         factor = Fraction(factor)
         if factor == 1:
             return self
-        p = factor.numerator
+        p, q = factor.numerator, factor.denominator
         out = BoolFn.from_ints(self.n, [v * p for v in self.nums],
-                               self.den * factor.denominator)
+                               self.den * q)
         if self._spectrum is not None and p:
             # the transform is linear, so the spectrum scales with the table
             entries, scale = self._spectrum
-            out._spectrum = ([(a, s * p) for a, s in entries],
-                             scale * factor.denominator)
+            out._spectrum = ([(a, s * p) for a, s in entries], scale * q)
+        if self._range is not None and p:
+            # out.nums are v * p / g, with g what from_ints divided out;
+            # a negative factor swaps min and max
+            g = self.den * q // out.den
+            lo, hi = (v * p // g for v in self._range)
+            out._range = (lo, hi) if p > 0 else (hi, lo)
         return out
 
     @staticmethod
@@ -163,10 +182,17 @@ class BoolFn:
 
     @staticmethod
     def character(n: int, variables: Iterable[int]) -> "BoolFn":
-        """chi_alpha(x) = prod_{i in alpha} x_i."""
+        """chi_alpha(x) = prod_{i in alpha} x_i, with its spectrum, the
+        single entry 2^n at alpha over 2^n, cached."""
         alpha = mask_of(variables, n)
-        return BoolFn.from_ints(n, [-1 if (i & alpha).bit_count() & 1 else 1
-                                    for i in range(1 << n)])
+        # positions 2^i .. 2^(i+1) - 1 have bit i set: there chi repeats
+        # the first 2^i entries, negated when i + 1 is in alpha
+        nums = [1]
+        for i in range(n):
+            nums += [-v for v in nums] if alpha >> i & 1 else nums
+        f = BoolFn.from_ints(n, nums)
+        _cache_spectrum(f, [(alpha, 1 << n)], 1 << n)
+        return f
 
 
 @dataclass(frozen=True)
@@ -241,7 +267,7 @@ class Density(object):
     __slots__ = ("fn", "_entropy_deficit")
 
     def __init__(self, fn: BoolFn):
-        if min(fn.nums) < 0:
+        if fn._num_range()[0] < 0:
             raise InputError("density must be nonnegative")
         if fn.mean() != 1:
             raise InputError("density must have mean exactly 1")

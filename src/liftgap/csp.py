@@ -85,12 +85,16 @@ def _constraint_satisfied(inst: Instance, c: Constraint, x: int) -> bool:
     return inst.predicates[c.predicate_id].table[args]
 
 
+def _satisfied_count(inst: Instance, x: int) -> int:
+    """The number of constraints satisfied at assignment bitmask x."""
+    return sum(1 for c in inst.constraints if _constraint_satisfied(inst, c, x))
+
+
 def evaluate(inst: Instance, x: int) -> Fraction:
     """Exact fraction of satisfied constraints at assignment bitmask x."""
     if not 0 <= x < 1 << inst.n:
         raise InputError(f"assignment {x} outside [0, 2^{inst.n})")
-    sat = sum(1 for c in inst.constraints if _constraint_satisfied(inst, c, x))
-    return Fraction(sat, len(inst.constraints))
+    return Fraction(_satisfied_count(inst, x), len(inst.constraints))
 
 
 def brute_force_opt(inst: Instance) -> tuple[Fraction, int]:

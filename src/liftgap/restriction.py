@@ -152,6 +152,8 @@ def check_restriction(densities: Sequence[Density], S: AbstractSet[int],
     S = frozenset(S)
     family_ok = len(densities) ** 2 <= n ** d
     sup_cap = 1 << t
+    # equal coefficients share one object in the report
+    shared: dict[Fraction, Fraction] = {}
     records = []
     for i, q in enumerate(densities):
         if q.n != n:
@@ -166,6 +168,7 @@ def check_restriction(densities: Sequence[Density], S: AbstractSet[int],
         junta = cert.junta & S or _NO_VARS
         max_bad = max((abs(v) for _, v in _stray_coeffs(q, S, junta, d)),
                       default=_ZERO)
+        max_bad = shared.setdefault(max_bad, max_bad)
         records.append(RestrictionRecord(
             density_id=i, junta=junta, max_bad_coeff=max_bad,
             passed_junta_bound=len(junta) <= d,
@@ -292,6 +295,8 @@ def main_inequality_experiment(rel: PolyhedralRelaxation, inst0: Instance,
 
     gamma = restriction_gamma(n, m, d, t)
     mc = math.comb(m, d)
+    # equal error terms share one object in the report
+    shared: dict[Fraction, Fraction] = {}
     terms = []
     for rec, i in zip(rep.records, smooth_ids):
         pe_err = _ZERO
@@ -300,6 +305,8 @@ def main_inequality_experiment(rel: PolyhedralRelaxation, inst0: Instance,
             if mv:
                 pe_err += v * mv
         cap = mc * rec.max_bad_coeff if rec.max_bad_coeff else _ZERO
+        pe_err = shared.setdefault(pe_err, pe_err)
+        cap = shared.setdefault(cap, cap)
         terms.append(SlackErrorTerm(
             index=i, label=rel.labels[i], pe_of_error=pe_err, coeff_cap=cap,
             within_coeff_cap=abs(pe_err) <= cap,

@@ -6,9 +6,11 @@ of constraint i at an assignment is q_i(x) = b_i - <A_i, x~>, a
 nonnegative function on the cube; whether c - instance is a nonnegative
 combination of the slacks is decided exactly, in both directions, with
 certificates.  Coordinate e of the assignment embedding, x -> x~_e, is a
-BoolFn table: the cut indicator [x_i != x_j] for metric, the character
-chi_m for universal, so the embedded points are integer columns over a
-common denominator.
+BoolFn table: the cut indicator [x_i != x_j] = (1 - chi_ij)/2 for
+metric, the character chi_m for universal, so the embedded points are
+integer columns over a common denominator.  Both come with their
+spectra in closed form, and each slack's spectrum is its row's
+combination of its coordinates' spectra.
 
 Also here: the slack matrix M[G, x] = c - G(x) over low-optimum Max Cut
 instances, the edge-sampling protocol matrix M' that approximates it
@@ -28,10 +30,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
-from .boolfn import BoolFn, _cache_spectrum, vars_of
+from .boolfn import BoolFn, _cache_spectrum, integer_spectrum, vars_of
 from .caps import caps
-from .csp import (Instance, brute_force_opt, evaluate, instance_polynomial,
-                  is_maxcut)
+from .csp import (Instance, _satisfied_count, brute_force_opt, evaluate,
+                  instance_polynomial, is_maxcut)
 from .errors import (CertificationError, InputError, InternalError,
                      SizeCapError, UnboundedError)
 from .lp import farkas_feasibility, linear_program, solve_lp
@@ -71,24 +73,13 @@ class _Lanes:
             w <<= 1
         self.width = w
         self.size = 1 << n
-        self.ones = self._tile(1, w)
-        self.high = self.ones << (w - 1)
-        self._typecode = _TYPECODES.get(w)
-        # pass j of the transform pairs lane x (bit j of x clear) with lane
-        # x + 2^j: its shift in bits, the mask of the lanes with bit j
-        # clear, and HIGH on those lanes
-        self._passes = []
+        # 1 in every lane, by doubling the run of lanes
+        ones = 1
         for j in range(n):
-            keep = self._tile((1 << (w << j)) - 1, w << (j + 1))
-            self._passes.append((w << j, keep, keep & self.high))
-
-    def _tile(self, block: int, period: int) -> int:
-        """block repeated every `period` bits over all the lanes; the
-        period is a power-of-two multiple of w."""
-        while period < self.width * self.size:
-            block |= block << period
-            period <<= 1
-        return block
+            ones |= ones << (w << j)
+        self.ones = ones
+        self.high = ones << (w - 1)
+        self._typecode = _TYPECODES.get(w)
 
     def pack(self, values: Sequence[int]) -> int:
         """sum_x values[x] 2^(w x), for 2^n values within the bound."""
@@ -119,17 +110,6 @@ class _Lanes:
         if _BYTE_ORDER == "big":
             items.byteswap()
         return items
-
-    def transform(self, biased: int) -> int:
-        """From a packed vector v plus HIGH, its Walsh-Hadamard transform
-        plus HIGH: lane a holds sum_x v[x] (-1)^popcount(x & a).  Pass j
-        sends the lanes (u, v) at (x, x + 2^j) to (u + v, u - v); on biased
-        lanes that is (u' + v' - 2^(w-1), u' - v' + 2^(w-1))."""
-        for shift, keep, half in self._passes:
-            lo = biased & keep
-            hi = (biased >> shift) & keep
-            biased = lo + hi - half + ((lo - hi + half) << shift)
-        return biased
 
 
 class PolyhedralRelaxation:
@@ -166,27 +146,40 @@ class PolyhedralRelaxation:
     def __repr__(self):
         return f"PolyhedralRelaxation({self.name}, R={len(self.inequalities)})"
 
-    def point_columns(self) -> tuple[list[int], int, _Lanes]:
+    def point_columns(self) -> tuple[list[int], int, _Lanes,
+                                     list[list[tuple[int, int]]]]:
         """The coordinate tables as packed integer columns over one common
         denominator, the lcm of their dens: coordinate e of the point of
         assignment x is lane x of cols[e], over den.  The lanes are wide
-        enough for every slack table and every column's transform: the
-        bound is the larger of max|col_e| 2^n and, over the rows scaled to
-        integers, |b den| + sum_e |a_e| max|col_e|.  Cached; callers
+        enough for every column and slack table: the bound is the larger
+        of max|col_e| and, over the rows scaled to integers,
+        |b den| + sum_e |a_e| max|col_e|.  With them, each column's
+        nonzero integer spectrum over den << n as (mask, s) pairs in
+        increasing mask order: the coordinate's known spectrum, rescaled
+        (the butterfly runs only for a coordinate that has none).  The
+        coordinate tables themselves are not kept.  Cached; callers
         enforce the size caps."""
         if self._points is None:
             fns = [self.coordinate(e) for e in range(self.dim)]
             den = math.lcm(*{f.den for f in fns})
             cols = [f.nums if f.den == den
                     else [v * (den // f.den) for v in f.nums] for f in fns]
+            spectra = []
+            for f in fns:
+                # s / scale == s' / (den << n), and s' is the butterfly's
+                # integer, so the division is exact
+                entries, scale = integer_spectrum(f)
+                spectra.append([(a, s * (den << self.n) // scale)
+                                for a, s in entries])
             peak = [max(map(abs, set(col))) for col in cols]
-            bound = max(peak, default=0) << self.n
+            bound = max(peak, default=0)
             for row, rhs in self.inequalities:
                 _, b, terms = int_row(row.items(), rhs)
                 bound = max(bound, abs(b) * den
                             + sum(abs(a) * peak[e] for e, a in terms))
             lanes = _Lanes(self.n, bound)
-            self._points = ([lanes.pack(col) for col in cols], den, lanes)
+            self._points = ([lanes.pack(col) for col in cols], den, lanes,
+                            spectra)
         return self._points
 
 
@@ -218,11 +211,18 @@ def metric_maxcut(n: int) -> PolyhedralRelaxation:
         rows.append(({index[eij]: one, index[eik]: one, index[ejk]: one}, two))
         labels.append(sys.intern(f"y{eij}+y{eik}+y{ejk}<=2"))
 
+    half = 1 << (n - 1)
+
     def coordinate(e: int) -> BoolFn:
-        """The cut indicator [x_i != x_j] of pair e = (i, j)."""
+        """The cut indicator [x_i != x_j] = (1 - chi_ij)/2 of pair
+        e = (i, j), with its spectrum cached: 1/2 at mask 0, -1/2 at
+        {i, j}."""
         i, j = pairs[e]
-        return BoolFn.from_ints(n, [((x >> (i - 1)) ^ (x >> (j - 1))) & 1
-                                    for x in range(1 << n)])
+        f = BoolFn.from_ints(n, [((x >> (i - 1)) ^ (x >> (j - 1))) & 1
+                                 for x in range(1 << n)])
+        _cache_spectrum(f, [(0, half), ((1 << (i - 1)) | (1 << (j - 1)),
+                                        -half)], 1 << n)
+        return f
 
     def embed_instance(inst: Instance) -> tuple[Fraction, ...]:
         if inst.n != n:
@@ -291,12 +291,15 @@ def _validate_points(rel: PolyhedralRelaxation) -> None:
 
 def _validate_pairing(rel: PolyhedralRelaxation, inst: Instance,
                       vec: tuple[Fraction, ...]) -> None:
-    """<instance vector, embedded x> equals the instance value (n <= 12)."""
+    """<instance vector, embedded x> equals the instance value (n <= 12),
+    sat(x) / m with sat(x) of the m constraints satisfied at x.  With vec
+    scaled to integers by `scale`, the check is on integers:
+    (scale den <vec, embedded x>) m == sat(x) scale den."""
     if rel.n > 12:
         log.info("%s: pairing-identity check skipped (n = %d > 12)",
                  rel.name, rel.n)
         return
-    cols, den, lanes = rel.point_columns()
+    cols, den, lanes, _ = rel.point_columns()
     ints, scale = int_vector(vec)
     # scale * den * <vec, embedded x> as integers
     totals = [0] * (1 << rel.n)
@@ -304,8 +307,9 @@ def _validate_pairing(rel: PolyhedralRelaxation, inst: Instance,
         if w:
             col = lanes.unpack(cols[e] + lanes.high)
             totals = [t + w * c for t, c in zip(totals, col)]
+    m = len(inst.constraints)
     for x, total in enumerate(totals):
-        if total != evaluate(inst, x) * (scale * den):
+        if total * m != _satisfied_count(inst, x) * scale * den:
             raise InternalError(
                 f"{rel.name}: pairing identity fails at assignment {x}")
 
@@ -341,17 +345,15 @@ def slack_functions(rel: PolyhedralRelaxation) -> tuple[BoolFn, ...]:
 
     Each table comes with its Fourier spectrum cached.  The transform is
     linear, so spec(q_i) is b_i at mask 0 minus sum_e a_ie spec(col_e):
-    each coordinate column that some row uses is transformed once, on its
-    lanes, and its few nonzero entries are combined per row, in place of
-    one transform per table."""
+    the few nonzero entries of the columns' spectra from point_columns
+    are combined per row, and no table is transformed."""
     if rel._slacks is not None:
         return rel._slacks
     n = rel.n
     if n > caps().slack_table_n:
         raise SizeCapError(f"n = {n} exceeds slack table cap")
-    cols, den, lanes = rel.point_columns()
+    cols, den, lanes, col_spectra = rel.point_columns()
     high = lanes.high
-    col_spectra: dict[int, list[tuple[int, int]]] = {}
     out = []
     for i, (row, rhs) in enumerate(rel.inequalities):
         # with L the row's scale: L * den * q_i = (L b) den - sum_e (L a_e)
@@ -363,9 +365,6 @@ def slack_functions(rel: PolyhedralRelaxation) -> tuple[BoolFn, ...]:
         spectrum = {0: b_int << n}
         for e, a_int in terms:
             table -= a_int * cols[e]
-            if e not in col_spectra:
-                col = lanes.unpack(lanes.transform(cols[e] + high))
-                col_spectra[e] = [(m, s) for m, s in enumerate(col) if s]
             for m, s in col_spectra[e]:
                 spectrum[m] = spectrum.get(m, 0) - a_int * s
         if table & high != high:

@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 from liftgap.errors import InputError, ParameterError, SizeCapError
 from liftgap.boolfn import (BoolFn, Density, ENTROPY_TOLERANCE, boolfn_from_json,
                             boolfn_to_json, chang_junta, entropy_deficit,
-                            fourier_transform, inverse_transform,
-                            junta_support, mask_of)
+                            fourier_transform, integer_spectrum,
+                            inverse_transform, junta_support, mask_of,
+                            vars_of)
 
 F = Fraction
 
@@ -29,6 +30,30 @@ def test_character_transform():
     f = BoolFn.character(3, [1, 2])
     coeffs = fourier_transform(f).coeffs
     assert coeffs == {0b011: F(1)}
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_character_tables_and_cached_spectra(n):
+    for alpha in range(1 << n):
+        f = BoolFn.character(n, vars_of(alpha))
+        assert f.nums == tuple(-1 if (x & alpha).bit_count() & 1 else 1
+                               for x in range(1 << n))
+        assert f.den == 1
+        fresh = BoolFn.from_ints(n, f.nums, f.den)
+        assert integer_spectrum(f) == integer_spectrum(fresh)
+        assert f.mean() == fresh.mean() == (1 if alpha == 0 else 0)
+
+
+def test_scaled_carries_the_range():
+    f = BoolFn.from_ints(3, [3, -6, 0, 9, 12, 0, -3, 6], 4)
+    assert (f.nums, f.den) == ((3, -6, 0, 9, 12, 0, -3, 6), 4)
+    assert f.sup_norm() == 3  # caches (min, max)
+    for r in (F(2, 3), F(-5), 1 / f.mean(), F(-1, 12)):
+        g = f.scaled(r)
+        assert g._range is not None
+        assert g._num_range() == (min(g.nums), max(g.nums)), r
+        assert g.sup_norm() == max(abs(v) for v in g.values) == 3 * abs(r)
+    assert f.scaled(0)._range is None
 
 
 def test_constant_transform():

@@ -244,21 +244,24 @@ _PROPERTY_CASES = [(seed, magnitude) for magnitude in (1, 40, 2 ** 20, 2 ** 45,
 
 def _reference_point_columns(rel):
     """What point_columns packs, from the Fraction point tuples: the
-    columns over the lcm of every entry's denominator, that lcm, and the
-    lane width for the bound its docstring gives."""
+    columns over the lcm of every entry's denominator, that lcm, the lane
+    width for the bound its docstring gives, and each column's list
+    butterfly without its zeros."""
     pts = _fraction_points(rel)
     den = math.lcm(*(v.denominator for pt in pts for v in pt))
     cols = [[v.numerator * (den // v.denominator) for v in col]
             for col in zip(*pts)]
+    spectra = [[(m, s) for m, s in enumerate(_list_butterfly(col)) if s]
+               for col in cols]
     peak = [max(abs(v) for v in col) for col in cols]
-    bound = max(peak) << rel.n
+    bound = max(peak)
     for row, rhs in rel.inequalities:
         scale = math.lcm(rhs.denominator,
                          *(a.denominator for a in row.values()))
         bound = max(bound, int(abs(rhs) * scale) * den
                     + sum(int(abs(a) * scale) * peak[e]
                           for e, a in row.items()))
-    return cols, den, _Lanes(rel.n, bound).width
+    return cols, den, _Lanes(rel.n, bound).width, spectra
 
 
 def test_point_columns_match_fraction_points():
@@ -266,9 +269,9 @@ def test_point_columns_match_fraction_points():
                                             for case in _PROPERTY_CASES]
     mixed = 0
     for rel in rels:
-        cols, den, lanes = rel.point_columns()
+        cols, den, lanes, spectra = rel.point_columns()
         assert ([list(lanes.unpack(c + lanes.high)) for c in cols], den,
-                lanes.width) == _reference_point_columns(rel), rel
+                lanes.width, spectra) == _reference_point_columns(rel), rel
         mixed += len({rel.coordinate(e).den for e in range(rel.dim)}) > 1
     # most random cases rescale some columns to the common den
     assert mixed > len(rels) // 2
@@ -294,6 +297,12 @@ def test_coordinates_are_the_documented_embedding(n, d):
                     for m in (0,) + sa_variable_masks(n, d)]
     assert rel.dim == len(expected)
     assert [list(rel.coordinate(e).values) for e in range(rel.dim)] == expected
+    # each coordinate comes with its spectrum, as the butterfly gives it
+    for e in range(rel.dim):
+        f = rel.coordinate(e)
+        assert f._spectrum is not None
+        assert (list(fourier_transform(f).coeffs.items())
+                == _butterfly_items(f))
 
 
 def test_packed_tables_match_list_passes():
@@ -305,6 +314,30 @@ def test_packed_tables_match_list_passes():
     rel = _rescaled_metric4(F(1, 2))
     assert _packed_tables(rel) == _list_pass_tables(rel)
     assert widths == {16, 32, 64, 128, 256}
+
+
+def _max_min_sup(f):
+    return max(max(f.values), -min(f.values))
+
+
+@pytest.mark.parametrize("rel", [
+    *(metric_maxcut(n) for n in range(3, 7)),
+    *(universal(n, d) for n in range(3, 7) for d in range(min(n, 3) + 1)),
+    _rescaled_metric4(F(1, 2)),
+    *(_random_relaxation(*case) for case in _PROPERTY_CASES),
+], ids=repr)
+def test_slack_means_and_sup_norms_from_the_caches(rel):
+    # mean() reads the mask-0 entry of the cached spectrum, and scaled
+    # carries both the spectrum and the cached (min, max) over
+    for q in slack_functions(rel):
+        mean = F(sum(q.nums), q.den << q.n)
+        assert q.mean() == mean
+        assert q.sup_norm() == _max_min_sup(q)
+        for r in (F(2, 3), F(-5), 1 / mean if mean else F(7)):
+            image = q.scaled(r)
+            assert image._range is not None
+            assert image.mean() == F(sum(image.nums), image.den << q.n)
+            assert image.sup_norm() == _max_min_sup(image)
 
 
 def test_lane_width_from_bound():
