@@ -144,7 +144,8 @@ def lp_nonzeros(lp: LinearProgram) -> int:
 
 # ---------------------------------------------------------------------------
 # Revised simplex core: min costs.x  s.t.  columns.x = b, x >= 0.
-# Columns are sparse [(row, value), ...]; values are Fractions or ints.
+# Columns are (terms, s): sparse terms [(row, value), ...] with Fraction
+# or int values, times a sign s = +1 / -1.
 # ---------------------------------------------------------------------------
 
 
@@ -172,20 +173,22 @@ def _solve_standard(columns, b, costs):
     exact integer division (fraction-free pivoting: Edmonds 1967,
     Bareiss 1968).  Row scaling leaves B^-1 a_j, the ratios and the
     signs of the reduced costs as they are on the rational data, so
-    Bland's rule takes the same pivots.  In phase 1 the artificial of
-    row r costs L1 / s_r (L1 the lcm of the s_r): one unit of the
-    unscaled row, so phase 1 minimizes the same sum."""
+    Bland's rule takes the same pivots.  A column's sign is folded into
+    the same integer scaling, so a negated column costs no Fraction
+    negation.  In phase 1 the artificial of row r costs L1 / s_r (L1 the
+    lcm of the s_r): one unit of the unscaled row, so phase 1 minimizes
+    the same sum."""
     m = len(b)
     ncols = len(columns)
 
     # nonnegative right-hand sides (remember the flips), integer rows
     sign = [-1 if v < 0 else 1 for v in b]
     scale = [v.denominator for v in b]
-    for col in columns:
+    for col, _ in columns:
         for r, v in col:
             scale[r] = lcm(scale[r], v.denominator)
-    cols = [[(r, sign[r] * v.numerator * (scale[r] // v.denominator))
-             for r, v in col if v] for col in columns]
+    cols = [[(r, s * sign[r] * v.numerator * (scale[r] // v.denominator))
+             for r, v in col if v] for col, s in columns]
     x_b = [sign[r] * v.numerator * (scale[r] // v.denominator)
            for r, v in enumerate(b)]
     cost_scale = lcm(*(c.denominator for c in costs))
@@ -360,19 +363,19 @@ def _solve_max_primal(lp: LinearProgram,
     owners = []  # (var, +1 / -1) per structural core column
     for j, col in enumerate(entries):
         obj = lp.objective[j]
-        columns.append(col)
+        columns.append((col, 1))
         costs.append(-obj)
         owners.append((j, 1))
         if j not in nonneg:
-            columns.append([(r, -v) for r, v in col])
+            columns.append((col, -1))
             costs.append(obj)
             owners.append((j, -1))
     for r, c in enumerate(lp.constraints):
         if c.relation == LESS_EQ:
-            columns.append([(r, 1)])
+            columns.append(([(r, 1)], 1))
             costs.append(0)
         elif c.relation == GREATER_EQ:
-            columns.append([(r, -1)])
+            columns.append(([(r, 1)], -1))
             costs.append(0)
     b = [c.rhs for c in lp.constraints]
     res = _solve_standard(columns, b, costs)
@@ -402,13 +405,12 @@ def _solve_max_dual(lp: LinearProgram) -> LPSolution | None:
     costs = []
     col_row_sign = []  # (constraint index, +1 / -1) per core column
     for i, c in enumerate(lp.constraints):
-        col = c.terms
         if c.relation in (LESS_EQ, EQUAL):
-            columns.append(col)
+            columns.append((c.terms, 1))
             costs.append(c.rhs)
             col_row_sign.append((i, 1))
         if c.relation in (GREATER_EQ, EQUAL):
-            columns.append([(r, -v) for r, v in col])
+            columns.append((c.terms, -1))
             costs.append(-c.rhs)
             col_row_sign.append((i, -1))
     res = _solve_standard(columns, lp.objective, costs)

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import logging
+import random
 from fractions import Fraction
 
 import pytest
@@ -11,8 +12,8 @@ from liftgap.csp import cycle
 from liftgap.errors import InputError, InternalError, SizeCapError
 from liftgap.lp import (INFEASIBLE, OPTIMAL, UNBOUNDED, LinearConstraint,
                         LinearProgram, LPSolution, _check_infeasible,
-                        _check_optimal, farkas_feasibility, linear_program,
-                        lp_nonzeros, solve_lp)
+                        _check_optimal, _solve_standard, farkas_feasibility,
+                        linear_program, lp_nonzeros, solve_lp)
 from liftgap.sa import edge_sa_solve, sa_value
 from liftgap.slack import farkas_decompose, universal
 
@@ -249,6 +250,33 @@ def test_check_infeasible_rejects_corruptions():
     assert cert == (F(1), F(-1))
     _assert_rejected("certificate sign at row 0", _check_infeasible, lp_le,
                      LPSolution(INFEASIBLE, dual_certificate=(F(-1), F(1))))
+
+
+def test_core_column_sign_matches_negated_column():
+    # a (terms, -1) column is solved as the column of negated Fractions:
+    # same status, point, value, duals, certificate and ray
+    statuses = set()
+    for seed in range(150):
+        rng = random.Random(seed)
+        m, ncols = rng.randint(1, 4), rng.randint(1, 5)
+
+        def q():
+            return F(rng.randint(-4, 4), rng.choice((1, 2, 3, 7)))
+
+        signed = []
+        for _ in range(ncols):
+            terms = [(r, q()) for r in sorted(rng.sample(range(m),
+                                                        rng.randint(1, m)))]
+            signed.append((terms, rng.choice((1, -1))))
+        negated = [([(r, s * v) for r, v in terms], 1) for terms, s in signed]
+        b = [q() for _ in range(m)]
+        costs = [q() for _ in range(ncols)]
+        got = _solve_standard(signed, b, costs)
+        want = _solve_standard(negated, b, costs)
+        assert [getattr(got, f) for f in got.__slots__] == \
+            [getattr(want, f) for f in want.__slots__], seed
+        statuses.add(got.status)
+    assert statuses == {OPTIMAL, INFEASIBLE, UNBOUNDED}
 
 
 def _rationals(bound: int):

@@ -316,14 +316,26 @@ def test_symmetric_check_small_junta_inconsistency_is_internal(monkeypatch):
         symmetric_contradiction_check(cycle(3), universal(6, 2), F(1), 2)
 
 
+def _position_index(perm) -> list[int]:
+    """The position a table is read at, for each position x, under the
+    permutation moving coordinate i + 1 to perm[i]."""
+    n = len(perm)
+    return [sum(1 << i for i in range(n) if x >> (perm[i] - 1) & 1)
+            for x in range(1 << n)]
+
+
+def _permuted(q: BoolFn, perm) -> BoolFn:
+    """q under the permutation, read as _reference_closed reads it."""
+    return BoolFn.from_ints(q.n, [q.nums[y] for y in _position_index(perm)],
+                            q.den)
+
+
 def _reference_closed(slacks, perms) -> bool:
     """The whole-table check: every slack read through every permuted
     position index is a table of the family."""
     family = {(q.den, q.nums) for q in slacks}
     for perm in perms:
-        n = len(perm)
-        index = [sum(1 << i for i in range(n) if x >> (perm[i] - 1) & 1)
-                 for x in range(1 << n)]
+        index = _position_index(perm)
         for q in slacks:
             if (q.den, tuple(q.nums[y] for y in index)) not in family:
                 return False
@@ -379,14 +391,6 @@ def test_symmetry_closure_reads_cached_spectra(name):
         assert verify_symmetry_closure(fresh, n) == expected, factor
 
 
-def _swap_12(q: BoolFn) -> BoolFn:
-    """q with x1 and x2 exchanged."""
-    def swapped(x):
-        return x & ~3 | (x & 1) << 1 | (x >> 1 & 1)
-    return BoolFn.from_ints(q.n, [q.nums[swapped(x)] for x in range(1 << q.n)],
-                            q.den)
-
-
 def test_symmetry_closure_matches_whole_tables_on_perturbations():
     outcomes = []
     for seed in range(66):
@@ -403,10 +407,11 @@ def test_symmetry_closure_matches_whole_tables_on_perturbations():
             slacks[i] = BoolFn.from_ints(n, nums, slacks[i].den)
         else:
             cycle_perm = tuple(range(2, n + 1)) + (1,)
+            swap = (2, 1) + tuple(range(3, n + 1))
             picked = [q for q in rng.sample(slacks, 3)
                       if not _reference_closed([q], [cycle_perm])]
-            slacks = picked + [_swap_12(q) for q in picked]
-            assert _reference_closed(slacks, [(2, 1) + tuple(range(3, n + 1))])
+            slacks = picked + [_permuted(q, swap) for q in picked]
+            assert _reference_closed(slacks, [swap])
             assert not _reference_closed(slacks, [cycle_perm])
         result = verify_symmetry_closure(slacks, n)
         assert result == _reference_closure(slacks, n), seed
@@ -420,6 +425,85 @@ def test_symmetry_closure_generators_above_six():
     dropped = [q for q in slacks if q != slacks[3]]  # ind(S=1,a=0)
     assert verify_symmetry_closure(dropped, 8) == (2, False)
     assert _reference_closure(dropped, 8) == (2, False)
+
+
+def _orbit(q: BoolFn) -> list[BoolFn]:
+    """q's distinct images under all permutations, in a fixed order."""
+    images = {_permuted(q, perm)
+              for perm in itertools.permutations(range(1, q.n + 1))}
+    return sorted(images, key=lambda f: f.nums)
+
+
+def _random_table(rng: random.Random, n: int, bits) -> BoolFn:
+    """A random table depending on exactly the given (0-based) bits."""
+    bits = list(bits)
+    while True:
+        vals = [rng.randrange(-4, 5) for _ in range(1 << len(bits))]
+        nums = [vals[sum(1 << k for k, b in enumerate(bits) if x >> b & 1)]
+                for x in range(1 << n)]
+        q = BoolFn.from_ints(n, nums, rng.choice((1, 3)))
+        if len(junta_support(q)) == len(bits):
+            return q
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_symmetry_closure_refuses_a_proper_subgroup_orbit(n):
+    # the orbit of a support-3 table under the n-cycle alone is closed
+    # under that cyclic subgroup only: each slack is the image of another,
+    # so a covered slack is never checked on its own, yet the injections
+    # of the first one checked leave the family
+    cycle_perm = tuple(range(2, n + 1)) + (1,)
+    for seed in range(4):
+        rng = random.Random(seed)
+        family = [_random_table(rng, n, rng.sample(range(n), 3))]
+        for _ in range(n - 1):
+            family.append(_permuted(family[-1], cycle_perm))
+        rng.shuffle(family)
+        assert _reference_closed(family, [cycle_perm])
+        assert verify_symmetry_closure(family, n) == \
+            _reference_closure(family, n) == (math.factorial(n), False), seed
+
+
+@pytest.mark.parametrize("n, bits", [(3, range(3)), (4, range(4)),
+                                     (5, (1, 3, 4))])
+def test_symmetry_closure_on_whole_orbits(n, bits):
+    # whole orbits of random tables, dense ones (support all n bits, so
+    # the injections are all of S_n) and one on bits away from the low
+    # end, whose masks must be compressed to their support: closed, and
+    # not closed once one image is dropped or another orbit's slack joins
+    expected = math.factorial(n)
+    for seed in range(3):
+        rng = random.Random(seed)
+        orbit = _orbit(_random_table(rng, n, bits))
+        stray = _random_table(rng, n, bits)
+        for family, closed in ((orbit, True), (orbit[1:], False),
+                               (orbit[:-1], False), (orbit + [stray], False)):
+            assert verify_symmetry_closure(family, n) == \
+                _reference_closure(family, n) == (expected, closed), seed
+
+
+@pytest.mark.parametrize("n, bits", [(4, range(4)), (5, (0, 2))])
+def test_symmetry_closure_orbit_split_across_denominators(n, bits):
+    # the same numerators over two denominators: an orbit split between
+    # them is not closed, the two whole orbits together are
+    expected = math.factorial(n)
+    for seed in range(3):
+        rng = random.Random(seed)
+        orbit = _orbit(_random_table(rng, n, bits))
+        third = [f.scaled(F(1, 3)) for f in orbit]
+        split = [f if i % 2 else g
+                 for i, (f, g) in enumerate(zip(orbit, third))]
+        for family, closed in ((split, False), (orbit + third, True)):
+            assert verify_symmetry_closure(family, n) == \
+                _reference_closure(family, n) == (expected, closed), seed
+
+
+def test_symmetry_closure_generators_are_no_group():
+    # the cycle and the swap of x1 and x2 both map chi_12 into the family
+    # (to chi_23 and to itself), but the cycle maps chi_23 to chi_34
+    family = [BoolFn.character(8, [1, 2]), BoolFn.character(8, [2, 3])]
+    assert verify_symmetry_closure(family, 8) == \
+        _reference_closure(family, 8) == (2, False)
 
 
 def test_symmetry_closure_keeps_denominators():
