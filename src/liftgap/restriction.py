@@ -18,16 +18,15 @@ contradiction that kills small symmetric relaxations below the level-d
 value.  The contradiction needs a slack family closed under coordinate
 permutations.  The closure check moves each slack's few nonzero integer
 spectrum entries, which a permutation moves by the bit map it induces on
-masks, instead of whole tables, and for n <= 6 it moves one slack per
-orbit, under the injections of its support: the verdict still holds for
-all n! permutations.  A decomposition that is feasible below the level-d
+masks, instead of whole tables, and it moves them under the two
+generators of S_n only: the verdict still holds for all n!
+permutations.  A decomposition that is feasible below the level-d
 value through a slack whose restriction is no small junta is a failed
 hypothesis, not a bug.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import json
 import logging
@@ -406,7 +405,7 @@ class SymmetricCheckReport:
     instance: str
     c: Fraction
     d: int
-    closure_checked_perms: int     # the permutations the closure covers
+    closure_checked_perms: int     # n! for n <= 6, else 2 (the generators)
     closure_ok: bool
     decomposition_feasible: bool
     sa_base: Fraction
@@ -416,50 +415,35 @@ class SymmetricCheckReport:
     consistent: bool               # true on every report returned
 
 
-def _mask_map(targets: Sequence[int]):
-    """The map on masks that moves bit i to bit targets[i], as a lookup
-    over the 2^len(targets) masks of those bits."""
-    moved = [0]
-    for t in targets:
-        bit = 1 << t
-        moved += [y | bit for y in moved]
-    return moved.__getitem__
-
-
 def verify_symmetry_closure(slacks: Sequence[BoolFn], n: int) -> tuple[int, bool]:
-    """Closure of the slack family under coordinate permutations: under
-    all n! permutations for n <= 6, otherwise under the two generators
-    (the n-cycle and a transposition).  Returns the number of
-    permutations the verdict covers (n!, or the two generators) and the
-    verdict.
+    """Closure of the slack family under all n! coordinate permutations,
+    checked on the two generators of S_n (the n-cycle and a
+    transposition).  Returns the count the report gives (n! for n <= 6,
+    otherwise the two generators) and the verdict.
 
-    The image of q under a permutation pi reads q at the bit-permuted
-    position, so its Walsh-Hadamard spectrum is q's moved by the map pi
-    induces on masks.  Each distinct slack is keyed once by den and its
-    nonzero integer spectrum over den << n (the cached one, rescaled),
-    which determine its table; the image is in the family exactly when
-    its moved key is.  The masks all lie inside q's support U (the OR of
-    its masks), so the image depends only on pi restricted to U, and
-    every injection U -> [n] extends to a permutation: for n <= 6 each
-    slack is checked under the injections of its support (at most 30 for
-    a degree-2 slack at n = 6, against 720 permutations), on masks
-    compressed to U.  Each image found is recorded as covered, and a
-    covered slack is not checked again: if q' = sigma(r) with r checked,
-    then pi(q') = (pi sigma)(r) was checked too, since the permutations
-    form a group.  Two generators form no group (at n = 8, [chi_12,
-    chi_23] maps chi_12 into the family under both, yet chi_23 does not
-    map in under the cycle), so there every slack is checked under both,
-    with U all n bits."""
+    The image of q under a permutation reads q at the bit-permuted
+    position, so its Walsh-Hadamard spectrum is q's moved by the map the
+    permutation induces on masks.  Each distinct slack is keyed once by
+    den and its nonzero integer spectrum over den << n (the cached one,
+    rescaled), which determine its table; the image is in the family
+    exactly when its moved key is.  A permutation is injective on keys,
+    so one that maps the finite family into itself permutes it; two that
+    generate S_n then make the family closed under every permutation.
+    Every slack is checked under both generators."""
     for i, q in enumerate(slacks):
         if q.n != n:
             raise InputError(f"slack {i} lives on {q.n} vars, expected {n}")
-    group = n <= 6
-    if group:
-        count = math.factorial(n)
-    else:
-        count = 2
-        generators = [_mask_map(targets) for targets in
-                      ((*range(1, n), 0), (1, 0, *range(2, n)))]
+    count = math.factorial(n) if n <= 6 else 2
+    if n <= 1:
+        return count, True     # S_n is trivial
+    generators = []
+    for targets in ((*range(1, n), 0), (1, 0, *range(2, n))):
+        # moved[x]: bit i of x set moves to bit targets[i]
+        moved = [0]
+        for t in targets:
+            bit = 1 << t
+            moved += [y | bit for y in moved]
+        generators.append(moved.__getitem__)
     entries = []
     for q in set(slacks):
         spectrum, scale = integer_spectrum(q)
@@ -469,28 +453,14 @@ def verify_symmetry_closure(slacks: Sequence[BoolFn], n: int) -> tuple[int, bool
         div = scale // (q.den << n)
         masks = [a for a, _ in spectrum]
         vals = [s // div << n for _, s in spectrum]
-        entries.append(((q.den, frozenset(map(operator.or_, vals, masks))),
-                        masks, vals))
-    keys = {key for key, _, _ in entries}
-    covered = set()
-    for key, masks, vals in entries:
-        if group:
-            if key in covered:
-                continue
-            support = functools.reduce(operator.or_, masks, 0)
-            bits = [b for b in range(n) if support >> b & 1]
-            masks = [sum(1 << i for i, b in enumerate(bits) if a >> b & 1)
-                     for a in masks]
-            maps = map(_mask_map, itertools.permutations(range(n), len(bits)))
-        else:
-            maps = generators
-        den = key[0]
-        for moved in maps:
-            image = (den, frozenset(map(operator.or_, vals, map(moved, masks))))
-            if image not in keys:
+        entries.append((q.den, masks, vals))
+    keys = {(den, frozenset(map(operator.or_, vals, masks)))
+            for den, masks, vals in entries}
+    for den, masks, vals in entries:
+        for moved in generators:
+            if (den, frozenset(map(operator.or_, vals, map(moved, masks)))) \
+                    not in keys:
                 return count, False
-            if group:
-                covered.add(image)
     return count, True
 
 

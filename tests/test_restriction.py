@@ -449,9 +449,8 @@ def _random_table(rng: random.Random, n: int, bits) -> BoolFn:
 @pytest.mark.parametrize("n", [5, 6])
 def test_symmetry_closure_refuses_a_proper_subgroup_orbit(n):
     # the orbit of a support-3 table under the n-cycle alone is closed
-    # under that cyclic subgroup only: each slack is the image of another,
-    # so a covered slack is never checked on its own, yet the injections
-    # of the first one checked leave the family
+    # under that cyclic subgroup only: the cycle maps every slack into the
+    # family, the transposition does not
     cycle_perm = tuple(range(2, n + 1)) + (1,)
     for seed in range(4):
         rng = random.Random(seed)
@@ -467,10 +466,9 @@ def test_symmetry_closure_refuses_a_proper_subgroup_orbit(n):
 @pytest.mark.parametrize("n, bits", [(3, range(3)), (4, range(4)),
                                      (5, (1, 3, 4))])
 def test_symmetry_closure_on_whole_orbits(n, bits):
-    # whole orbits of random tables, dense ones (support all n bits, so
-    # the injections are all of S_n) and one on bits away from the low
-    # end, whose masks must be compressed to their support: closed, and
-    # not closed once one image is dropped or another orbit's slack joins
+    # whole orbits of random tables, dense ones (support all n bits) and
+    # one on bits away from the low end: closed, and not closed once one
+    # image is dropped or another orbit's slack joins
     expected = math.factorial(n)
     for seed in range(3):
         rng = random.Random(seed)
@@ -512,6 +510,14 @@ def test_symmetry_closure_keeps_denominators():
     x1, x2 = BoolFn.character(2, [1]), BoolFn.character(2, [2])
     assert verify_symmetry_closure([x1, x2.scaled(F(1, 2))], 2) == (2, False)
     assert verify_symmetry_closure([x1, x2], 2) == (2, True)
+
+
+def test_symmetry_closure_on_trivial_groups():
+    # S_0 and S_1 hold the identity only, so every family is closed
+    assert verify_symmetry_closure([BoolFn.from_ints(0, [1], 1)], 0) == \
+        (1, True)
+    assert verify_symmetry_closure([BoolFn.character(1, [1])], 1) == (1, True)
+    assert verify_symmetry_closure([], 1) == (1, True)
 
 
 def test_symmetry_closure_checks_variable_count():
