@@ -207,6 +207,11 @@ OUTPUTS = {
         build_sa_lp(3, 2, instance_polynomial(cycle(3)))),
     "build_sa_lp(3sat(5,8,seed=1),3)": lambda: _lp_text(
         build_sa_lp(5, 3, instance_polynomial(random_3sat(5, 8, 1)))),
+    # the edge relaxation's rows as values, apart from their repr
+    "build_edge_sa_lp(C5,1)": lambda: _lp_text(
+        build_edge_sa_lp(5, 1, cycle(5))),
+    "build_edge_sa_lp(K4-e,2)": lambda: _lp_text(
+        build_edge_sa_lp(4, 2, _K4_MINUS_EDGE)),
     "check_lef(sa C5,2)": lambda: _lef_text(sa_value(cycle(5), 2)[1]),
     "check_lef(sa 3sat(4,6,seed=2),3)": lambda: _lef_text(
         sa_value(random_3sat(4, 6, 2), 3)[1]),
@@ -347,6 +352,8 @@ OUTPUTS = {
 }
 
 GOLDEN = {
+    'build_edge_sa_lp(C5,1)': '50c095d05718c9e6d7509f9fa38654bdb520bb8df88f22087f0ab99d9396118f',
+    'build_edge_sa_lp(K4-e,2)': '5b022bb1329f76fcedf8168866ee1375ec24fde60edb8f4bd15b94a5ac28a9c7',
     'build_sa_lp(3sat(5,8,seed=1),3)': '83f6c80692e3276736b3d63dbfc9eb7c286f281764b012642e5f82b401e76dcd',
     'build_sa_lp(C3,2)': 'f967d93096e0590d4ae8bc522831398c08ebb9a4b6bee8cd9c7e6364ad5b12ac',
     'check_edge_functional(edge_sa_solve C5,1)': 'bbb9b1b18235dd43af9f3f6fadb5e75a0ef4945f9ff674c1cea094bc2562ff05',
