@@ -1,10 +1,10 @@
-"""Exact rational linear programming over sparse rows.
+"""Exact rational linear programming over sparse integer rows.
 
 Two-phase revised simplex with Bland's pivot rule, so every solve
 terminates and returns bit-reproducible answers.  The loop is
-fraction-free: each row is scaled to integers by the lcm of its
-denominators, the basis inverse is an integer adjugate over |det B|, and
-values become Fractions only on return.  Both public contracts share one
+fraction-free: the rows are integers from the moment they are built,
+the basis inverse is an integer adjugate over |det B|, and values
+become Fractions only on return.  Both public contracts share one
 primal adapter and one verifier:
 
 * solve_lp maximizes (a "minimize" LP is solved with its objective
@@ -18,27 +18,34 @@ The verifier re-checks every returned solution against the input.
 Optimal: primal feasibility (x >= 0 on flagged variables included),
 objective value, dual signs, dual feasibility and strong duality.
 Infeasible: certificate signs, combination and normalization.  It works
-on integers too, but shares nothing with the core: each input row is
-scaled by the lcm of its own denominators (rhs included), the point by
-the lcm of its denominators and the multipliers to one common
-denominator, and every condition is an exact integer comparison.
+on integers too, but shares nothing with the core: it reads the integer
+rows of the LinearProgram as they are, the point over the lcm of its
+denominators and the multipliers over one common denominator with each
+row's scale, and every condition is an exact integer comparison.
 
 Conventions
 -----------
 * A constraint is ({variable: coeff}, relation, rhs) with relation one
-  of "<=", "=", ">=", stored as its nonzero terms sorted by variable
-  (LinearConstraint.coeffs is a dense view for callers outside liftgap).
-  Constraint indices are stable identifiers.
+  of "<=", "=", ">=".  It is stored as an integer row over a positive
+  integer scale: its nonzero integer terms sorted by variable, an
+  integer rhs and the scale, the row being (terms, rhs) / scale.
+  linear_program scales each rational row by the lcm of its
+  denominators (LinearConstraint.coeffs is a dense view of the integer
+  row for callers outside liftgap).  Constraint indices are stable
+  identifiers.
 * LinearProgram checks its shape when built: sense, objective length,
-  relations and every variable in range.
-* Optimal solutions carry dual multipliers, one per constraint:
-  for sense "maximize", multiplier >= 0 on "<=" rows, <= 0 on ">=" rows,
-  free on "=" rows, with  sum_i mult_i * coeffs_i == objective  and
-  sum_i mult_i * rhs_i == value.  For "minimize" all multiplier signs
-  flip.
+  relations, every variable in range, integer terms and rhs, and a
+  scale of at least 1.
+* Optimal solutions carry dual multipliers, one per constraint, for the
+  rational rows: for sense "maximize", multiplier >= 0 on "<=" rows,
+  <= 0 on ">=" rows, free on "=" rows, with
+  sum_i mult_i * coeffs_i / scale_i == objective  and
+  sum_i mult_i * rhs_i / scale_i == value.  For "minimize" all
+  multiplier signs flip.
 * Infeasible solutions carry a Farkas certificate with the same sign
   convention as the "maximize" duals and
-  sum_i mult_i * coeffs_i == 0,  sum_i mult_i * rhs_i == -1
+  sum_i mult_i * coeffs_i / scale_i == 0,
+  sum_i mult_i * rhs_i / scale_i == -1
   (farkas_feasibility: >= 0 instead of == 0 on the flagged variables).
 """
 
@@ -52,7 +59,7 @@ from typing import AbstractSet, Iterable, Mapping, Sequence
 
 from .caps import caps
 from .errors import InputError, InternalError, SizeCapError
-from .rationals import int_row, int_vector
+from .rationals import int_vector
 
 log = logging.getLogger(__name__)
 
@@ -72,17 +79,19 @@ UNBOUNDED = "unbounded"
 
 @dataclass(frozen=True)
 class LinearConstraint:
-    """sum_j a_j x_j <relation> rhs over width variables; terms holds the
-    nonzero (j, a_j), sorted by j."""
-    terms: tuple[tuple[int, Fraction], ...]
+    """(sum_j a_j x_j <relation> rhs) / scale over width variables: terms
+    holds the nonzero integer (j, a_j), sorted by j, rhs is an integer
+    and scale a positive integer."""
+    terms: tuple[tuple[int, int], ...]
     relation: str
-    rhs: Fraction
+    rhs: int
     width: int
+    scale: int = 1
 
     @property
-    def coeffs(self) -> tuple[Fraction, ...]:
-        """The dense row, rebuilt on each read."""
-        row = [Fraction(0)] * self.width
+    def coeffs(self) -> tuple[int, ...]:
+        """The dense integer row, rebuilt on each read."""
+        row = [0] * self.width
         for j, a in self.terms:
             row[j] = a
         return tuple(row)
@@ -111,6 +120,10 @@ class LinearProgram:
                                        for j, _ in c.terms):
                 raise InputError(
                     f"constraint {idx}: variables must be integers in [0, {n})")
+            if not (type(c.rhs) is type(c.scale) is int and c.scale >= 1
+                    and all(type(a) is int for _, a in c.terms)):
+                raise InputError(f"constraint {idx}: coefficients and rhs "
+                                 "must be integers over a scale >= 1")
 
 
 @dataclass(frozen=True)
@@ -125,15 +138,21 @@ def linear_program(num_vars: int,
                    constraints: Iterable[tuple[Mapping, str, object]],
                    objective: Sequence,
                    sense: str = "maximize") -> LinearProgram:
-    """Constructor from {variable: coeff} rows; coefficients are coerced
-    to Fraction and zeros dropped.  LinearProgram validates the shape."""
+    """Constructor from {variable: coeff} rows of rationals: each row is
+    scaled to integers by the lcm of its denominators (rhs included), its
+    zeros dropped.  LinearProgram validates the shape."""
     rows = []
     for coeffs, relation, rhs in constraints:
+        rhs = Fraction(rhs)
+        terms = [(j, a) for j, a in ((j, Fraction(v)) for j, v in coeffs.items())
+                 if a]
         # a non-integer variable sorts first, for LinearProgram to reject
-        terms = sorted(((j, Fraction(v)) for j, v in coeffs.items()),
-                       key=lambda t: t[0] if type(t[0]) is int else -1)
-        rows.append(LinearConstraint(tuple(t for t in terms if t[1]),
-                                     relation, Fraction(rhs), num_vars))
+        terms.sort(key=lambda t: t[0] if type(t[0]) is int else -1)
+        scale = lcm(rhs.denominator, *(a.denominator for _, a in terms))
+        rows.append(LinearConstraint(
+            tuple((j, a.numerator * (scale // a.denominator)) for j, a in terms),
+            relation, rhs.numerator * (scale // rhs.denominator), num_vars,
+            scale))
     return LinearProgram(num_vars, tuple(rows),
                          tuple(Fraction(v) for v in objective), sense)
 
@@ -144,8 +163,8 @@ def lp_nonzeros(lp: LinearProgram) -> int:
 
 # ---------------------------------------------------------------------------
 # Revised simplex core: min costs.x  s.t.  columns.x = b, x >= 0.
-# Columns are (terms, s): sparse terms [(row, value), ...] with Fraction
-# or int values, times a sign s = +1 / -1.
+# Columns are (terms, s): sparse integer terms [(row, value), ...] times
+# a sign s = +1 / -1; b and costs are Fractions or ints.
 # ---------------------------------------------------------------------------
 
 
@@ -162,35 +181,35 @@ class _CoreResult:
         self.ray = ray                # structural ray on unbounded
 
 
-def _solve_standard(columns, b, costs):
+def _solve_standard(columns, b, costs, row_scale):
     """Two-phase revised simplex with Bland's rule.  Exact; terminating;
-    deterministic.  Inputs are not modified; outputs are Fractions.
+    deterministic.  Inputs are not modified; outputs are Fractions, and
+    the duals and the certificate are those of the integer rows.
 
-    The loop holds only Python ints.  After the b >= 0 sign flip, row r
-    of [A | b] is scaled by s_r, the lcm of its denominators, and the
-    costs by L, the lcm of theirs.  The basis inverse is adj / den with
-    den = |det B|, and a pivot updates adj, den * x_B and den * y by
-    exact integer division (fraction-free pivoting: Edmonds 1967,
-    Bareiss 1968).  Row scaling leaves B^-1 a_j, the ratios and the
-    signs of the reduced costs as they are on the rational data, so
-    Bland's rule takes the same pivots.  A column's sign is folded into
-    the same integer scaling, so a negated column costs no Fraction
-    negation.  In phase 1 the artificial of row r costs L1 / s_r (L1 the
-    lcm of the s_r): one unit of the unscaled row, so phase 1 minimizes
-    the same sum."""
+    The loop holds only Python ints.  The columns are integers already;
+    b is taken over q, the lcm of its denominators, and the costs over L,
+    the lcm of theirs.  The basis inverse is adj / den with den = |det B|,
+    and a pivot updates adj, den * q * x_B and den * y by exact integer
+    division (fraction-free pivoting: Edmonds 1967, Bareiss 1968).
+    Positive scales leave Bland's choices as they are on the rational
+    data: a row scale (an integer row is its rational row times its
+    scale) cancels in B^-1 a_j, a column scale multiplies a whole column
+    of B^-1 A and its reduced cost by one positive factor, and b over q
+    scales every ratio of the ratio test alike; reduced costs and y do
+    not involve b.  A column's sign is folded into the same integer
+    scaling.  In phase 1 the artificial of row r costs L1 / row_scale[r]
+    (L1 the lcm of the row scales): one unit of the row before scaling,
+    so phase 1 minimizes the sum of the rational rows' residuals.  Unit
+    costs would minimize the sum weighted by the scales instead, which
+    takes other pivots to other certificates."""
     m = len(b)
     ncols = len(columns)
 
-    # nonnegative right-hand sides (remember the flips), integer rows
+    # nonnegative right-hand sides over q (remember the flips)
     sign = [-1 if v < 0 else 1 for v in b]
-    scale = [v.denominator for v in b]
-    for col, _ in columns:
-        for r, v in col:
-            scale[r] = lcm(scale[r], v.denominator)
-    cols = [[(r, s * sign[r] * v.numerator * (scale[r] // v.denominator))
-             for r, v in col if v] for col, s in columns]
-    x_b = [sign[r] * v.numerator * (scale[r] // v.denominator)
-           for r, v in enumerate(b)]
+    q = lcm(*(v.denominator for v in b))
+    x_b = [abs(v.numerator) * (q // v.denominator) for v in b]
+    cols = [[(r, s * sign[r] * v) for r, v in col] for col, s in columns]
     cost_scale = lcm(*(c.denominator for c in costs))
     c_int = [c.numerator * (cost_scale // c.denominator) for c in costs]
 
@@ -269,15 +288,14 @@ def _solve_standard(columns, b, costs):
                 log.debug("pivot %d: enter %d leave slot %d", iters, j, leave)
 
     # ---- phase 1 ----
-    art_scale = lcm(*scale)
-    art_cost = lambda p: (art_scale // scale[basis[p] - ncols]
+    art_scale = lcm(*row_scale)
+    art_cost = lambda p: (art_scale // row_scale[basis[p] - ncols]
                           if basis[p] >= ncols else 0)
     unb, y = run_phase([0] * ncols, art_cost)
     if unb is not None:  # cannot happen: phase-1 objective bounded below by 0
         raise InternalError("phase 1 reported unbounded")
     if any(x_b[p] for p in range(m) if basis[p] >= ncols):
-        cert = [Fraction(sign[r] * y[r] * scale[r], den * art_scale)
-                for r in range(m)]
+        cert = [Fraction(sign[r] * y[r], den * art_scale) for r in range(m)]
         return _CoreResult(INFEASIBLE, certificate=cert)
 
     # drive basic artificials out; rows that cannot pivot are redundant
@@ -306,7 +324,6 @@ def _solve_standard(columns, b, costs):
         x_b = [x_b[p] for p in keep_slots]
         basis = [basis[p] for p in keep_slots]
         row_of = [row_of[r] for r in keep_rows]
-        scale = [scale[r] for r in keep_rows]
         m = len(keep_rows)
 
     # ---- phase 2 ----
@@ -322,13 +339,13 @@ def _solve_standard(columns, b, costs):
 
     x = [Fraction(0)] * ncols
     for p in range(m):
-        x[basis[p]] = Fraction(x_b[p], den)
+        x[basis[p]] = Fraction(x_b[p], den * q)
     value = Fraction(sum(c_int[basis[p]] * x_b[p] for p in range(m)),
-                     cost_scale * den)
+                     cost_scale * den * q)
     duals = [Fraction(0)] * len(b)
     for r in range(m):
         i = row_of[r]
-        duals[i] = Fraction(sign[i] * y[r] * scale[r], cost_scale * den)
+        duals[i] = Fraction(sign[i] * y[r], cost_scale * den)
     return _CoreResult(OPTIMAL, x=x, value=value, duals=duals)
 
 
@@ -339,8 +356,9 @@ def _solve_standard(columns, b, costs):
 
 def _fold(owners, vec, size: int) -> list[Fraction]:
     """Sum a core vector back onto the variables or constraints that own
-    its entries: owners[j] = (index, +1 / -1) for core entry j.  Entries
-    past the end of owners (slack columns) are dropped."""
+    its entries: owners[j] = (index, factor) for core entry j, the factor
+    a sign, times a row scale on the dual path.  Entries past the end of
+    owners (slack columns) are dropped."""
     out = [Fraction(0)] * size
     for (i, s), v in zip(owners, vec):
         if v:
@@ -377,21 +395,21 @@ def _solve_max_primal(lp: LinearProgram,
         elif c.relation == GREATER_EQ:
             columns.append(([(r, 1)], -1))
             costs.append(0)
-    b = [c.rhs for c in lp.constraints]
-    res = _solve_standard(columns, b, costs)
+    res = _solve_standard(columns, [c.rhs for c in lp.constraints], costs,
+                          [c.scale for c in lp.constraints])
 
     if res.status == UNBOUNDED:
         return LPSolution(UNBOUNDED)
     if res.status == INFEASIBLE:
         y = res.certificate
-        yb = sum(yr * br for yr, br in zip(y, b) if yr)
+        yb = sum(yr * c.rhs for yr, c in zip(y, lp.constraints) if yr)
         if yb <= 0:
             raise InternalError("bad infeasibility certificate")
-        mult = [-yr / yb for yr in y]
+        mult = [-yr * c.scale / yb for yr, c in zip(y, lp.constraints)]
         return LPSolution(INFEASIBLE, dual_certificate=tuple(mult))
     point = tuple(_fold(owners, res.x, n))
     value = -res.value
-    duals = tuple(-yr for yr in res.duals)
+    duals = tuple(-yr * c.scale for yr, c in zip(res.duals, lp.constraints))
     return LPSolution(OPTIMAL, value=value, point=point, dual_certificate=duals)
 
 
@@ -403,45 +421,49 @@ def _solve_max_dual(lp: LinearProgram) -> LPSolution | None:
     m = len(lp.constraints)
     columns = []
     costs = []
-    col_row_sign = []  # (constraint index, +1 / -1) per core column
+    # (constraint index, +scale / -scale) per core column: a core value
+    # multiplies the integer row, so scale times it multiplies the row
+    col_row = []
     for i, c in enumerate(lp.constraints):
         if c.relation in (LESS_EQ, EQUAL):
             columns.append((c.terms, 1))
             costs.append(c.rhs)
-            col_row_sign.append((i, 1))
+            col_row.append((i, c.scale))
         if c.relation in (GREATER_EQ, EQUAL):
             columns.append((c.terms, -1))
             costs.append(-c.rhs)
-            col_row_sign.append((i, -1))
-    res = _solve_standard(columns, lp.objective, costs)
+            col_row.append((i, -c.scale))
+    res = _solve_standard(columns, lp.objective, costs, [1] * n)
 
     if res.status == INFEASIBLE:
         return None
     if res.status == UNBOUNDED:
-        mult = _fold(col_row_sign, res.ray, m)
-        scale = -sum(m_i * c.rhs for m_i, c in zip(mult, lp.constraints))
+        mult = _fold(col_row, res.ray, m)
+        scale = -sum(m_i * c.rhs / c.scale
+                     for m_i, c in zip(mult, lp.constraints) if m_i)
         if scale <= 0:
             raise InternalError("bad dual ray")
         mult = [m_i / scale for m_i in mult]
         return LPSolution(INFEASIBLE, dual_certificate=tuple(mult))
     return LPSolution(OPTIMAL, value=res.value, point=tuple(res.duals),
-                      dual_certificate=tuple(_fold(col_row_sign, res.x, m)))
+                      dual_certificate=tuple(_fold(col_row, res.x, m)))
 
 
-def _int_multipliers(rows, mult: Sequence[Fraction]) -> tuple[list[int], int]:
-    """(w, D) with mult_i / s_i == w_i / D for each row scale s_i, so that
-    sum_i w_i * (scaled row i) is D times mult . (A | b)."""
+def _int_multipliers(lp: LinearProgram,
+                     mult: Sequence[Fraction]) -> tuple[list[int], int]:
+    """(w, D) with mult_i / scale_i == w_i / D for each row, so that
+    sum_i w_i * (integer row i) is D times mult . (A | b)."""
     ys, yd = int_vector(mult)
-    s = lcm(*(s_i for (s_i, _, _), y in zip(rows, ys) if y))
-    return [y * (s // s_i) for (s_i, _, _), y in zip(rows, ys)], yd * s
+    s = lcm(*(c.scale for c, y in zip(lp.constraints, ys) if y))
+    return [y * (s // c.scale) for c, y in zip(lp.constraints, ys)], yd * s
 
 
-def _combination(num_vars: int, rows, w: Sequence[int]) -> list[int]:
-    """w . A over the scaled rows, in one pass over their nonzero entries."""
-    acc = [0] * num_vars
-    for w_i, (_, _, terms) in zip(w, rows):
+def _combination(lp: LinearProgram, w: Sequence[int]) -> list[int]:
+    """w . A over the integer rows, in one pass over their nonzero entries."""
+    acc = [0] * lp.num_vars
+    for w_i, c in zip(w, lp.constraints):
         if w_i:
-            for j, a in terms:
+            for j, a in c.terms:
                 acc[j] += w_i * a
     return acc
 
@@ -460,14 +482,12 @@ def _check_optimal(lp: LinearProgram, sol: LPSolution,
     """Primal feasibility (x >= 0 on nonneg), the objective value, dual
     signs, dual feasibility (equality of mult . A with the objective on
     free variables, the right inequality on nonneg ones) and strong
-    duality, all exact, on integers: x over the lcm of its denominators,
-    each row times the lcm of its own, the multipliers over a common
-    denominator."""
-    rows = [int_row(c.terms, c.rhs) for c in lp.constraints]
+    duality, all exact, on integers: the integer rows, x over the lcm of
+    its denominators, the multipliers over a common denominator."""
     x, xd = int_vector(sol.point)
-    for i, ((_, rhs, terms), c) in enumerate(zip(rows, lp.constraints)):
-        lhs = sum(a * x[j] for j, a in terms)
-        rhs *= xd
+    for i, c in enumerate(lp.constraints):
+        lhs = sum(a * x[j] for j, a in c.terms)
+        rhs = c.rhs * xd
         ok = (lhs <= rhs if c.relation == LESS_EQ
               else lhs >= rhs if c.relation == GREATER_EQ
               else lhs == rhs)
@@ -482,13 +502,13 @@ def _check_optimal(lp: LinearProgram, sol: LPSolution,
             != value.numerator * od * xd):
         raise InternalError("objective mismatch")
     maximize = lp.sense == "maximize"
-    w, wd = _int_multipliers(rows, sol.dual_certificate)
+    w, wd = _int_multipliers(lp, sol.dual_certificate)
     _check_signs(lp, w, LESS_EQ if maximize else GREATER_EQ, "dual")
-    for j, (v, o) in enumerate(zip(_combination(lp.num_vars, rows, w), obj)):
+    for j, (v, o) in enumerate(zip(_combination(lp, w), obj)):
         gap = v * od - o * wd if maximize else o * wd - v * od
         if gap < 0 or (gap and j not in nonneg):
             raise InternalError(f"dual combination mismatch at var {j}")
-    if (sum(w_i * rhs for w_i, (_, rhs, _) in zip(w, rows))
+    if (sum(w_i * c.rhs for w_i, c in zip(w, lp.constraints))
             * value.denominator != value.numerator * wd):
         raise InternalError("strong duality mismatch")
 
@@ -496,14 +516,13 @@ def _check_optimal(lp: LinearProgram, sol: LPSolution,
 def _check_infeasible(lp: LinearProgram, sol: LPSolution,
                       nonneg: AbstractSet[int] = frozenset()) -> None:
     """The certificate's signs, mult . A == 0 on free variables and >= 0
-    on nonneg ones, and mult . b == -1, all exact on the scaled rows."""
-    rows = [int_row(c.terms, c.rhs) for c in lp.constraints]
-    w, wd = _int_multipliers(rows, sol.dual_certificate)
+    on nonneg ones, and mult . b == -1, all exact on the integer rows."""
+    w, wd = _int_multipliers(lp, sol.dual_certificate)
     _check_signs(lp, w, LESS_EQ, "certificate")
-    for j, v in enumerate(_combination(lp.num_vars, rows, w)):
+    for j, v in enumerate(_combination(lp, w)):
         if v < 0 or (v and j not in nonneg):
             raise InternalError(f"certificate combination wrong at var {j}")
-    if sum(w_i * rhs for w_i, (_, rhs, _) in zip(w, rows)) != -wd:
+    if sum(w_i * c.rhs for w_i, c in zip(w, lp.constraints)) != -wd:
         raise InternalError("certificate not normalized")
 
 

@@ -5,9 +5,10 @@ r**(1/4).
 fractions.Fraction is the rational type of the public API; values are
 always in lowest terms with positive denominator, which the text form
 relies on.  Comparisons against root thresholds are done on squares and
-fourth powers so every verdict is an integer comparison.  int_vector and
-int_row are the one way a rational vector or row is scaled to integers;
-json_value is the one mapping from report dataclasses to JSON.
+fourth powers so every verdict is an integer comparison.  int_vector is
+the one way a rational vector is scaled to integers (lp.linear_program
+scales a constraint row); json_value is the one mapping from report
+dataclasses to JSON.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import fields, is_dataclass
 from fractions import Fraction
-from typing import Callable, Collection, Sequence, Union
+from typing import Callable, Sequence, Union
 
 from .errors import InputError
 
@@ -31,15 +32,6 @@ def int_vector(vec: Sequence[Fraction]) -> tuple[list[int], int]:
     denominators."""
     den = math.lcm(*{v.denominator for v in vec})
     return [v.numerator * (den // v.denominator) for v in vec], den
-
-
-def int_row(terms: Collection[tuple[int, Fraction]], rhs: Fraction,
-            ) -> tuple[int, int, list[tuple[int, int]]]:
-    """The row sum_j a_j y_j (relation) rhs times s, the lcm of its
-    denominators (rhs included): (s, s rhs, [(j, s a_j)])."""
-    scale = math.lcm(rhs.denominator, *{a.denominator for _, a in terms})
-    return (scale, rhs.numerator * (scale // rhs.denominator),
-            [(j, a.numerator * (scale // a.denominator)) for j, a in terms])
 
 
 def json_value(obj: object) -> object:

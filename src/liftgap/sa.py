@@ -15,7 +15,6 @@ coefficients, for the LP builder and the functional check alike.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import json
 import math
@@ -126,11 +125,10 @@ def build_sa_lp(n: int, d: int, objective: FourierCoeffs) -> LinearProgram:
             f"objective degree {objective.degree()} exceeds level {d}")
     masks = sa_variable_masks(n, d)
     index = {m: i for i, m in enumerate(masks)}
-    sign = {1: Fraction(1), -1: Fraction(-1)}
     rows = tuple(
-        LinearConstraint(tuple(sorted((index[alpha], sign[s])
+        LinearConstraint(tuple(sorted((index[alpha], s)
                                       for alpha, s in terms if alpha)),
-                         GREATER_EQ, sign[-1], len(masks))
+                         GREATER_EQ, -1, len(masks))
         for s_mask, _, terms in _indicators(n, d) if s_mask)
     obj = tuple(Fraction(objective.get(m)) for m in masks)
     return LinearProgram(len(masks), rows, obj, "maximize")
@@ -369,7 +367,6 @@ def build_edge_sa_lp(n: int, r: int, inst: Instance) -> LinearProgram:
         raise InputError(f"instance has {inst.n} vertices, relaxation has {n}")
     masks = _monomial_masks(n, r)
     index = {m: j for j, m in enumerate(masks)}
-    fraction = functools.cache(Fraction)  # one object per coefficient value
     rows = []
     seen = set()
     for _, _, _, poly in _edge_rows(n, r):
@@ -380,8 +377,7 @@ def build_edge_sa_lp(n: int, r: int, inst: Instance) -> LinearProgram:
         if key in seen:
             continue
         seen.add(key)
-        rows.append(LinearConstraint(tuple((j, fraction(c)) for j, c in key[0]),
-                                     GREATER_EQ, fraction(-const), len(masks)))
+        rows.append(LinearConstraint(key[0], GREATER_EQ, -const, len(masks)))
     pairs = _all_pairs(n)
     m_edges = len(inst.constraints)
     obj = [Fraction(0)] * len(masks)

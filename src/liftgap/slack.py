@@ -36,8 +36,8 @@ from .csp import (Instance, _satisfied_count, brute_force_opt, evaluate,
                   instance_polynomial, is_maxcut)
 from .errors import (CertificationError, InputError, InternalError,
                      SizeCapError, UnboundedError)
-from .lp import farkas_feasibility, linear_program, solve_lp
-from .rationals import format_rational, int_row, int_vector
+from .lp import LinearProgram, farkas_feasibility, linear_program, solve_lp
+from .rationals import format_rational, int_vector
 from .sa import _indicators, sa_variable_masks
 
 log = logging.getLogger(__name__)
@@ -115,7 +115,8 @@ class _Lanes:
 class PolyhedralRelaxation:
     """Immutable bundle: dimension, inequality list (stable indices), and
     the two embeddings.  Inequality i is ({e: a_e}, b), the row
-    sum_e a_e y_e <= b with its zero coefficients left out.  The
+    sum_e a_e y_e <= b with its zero coefficients left out; rows holds
+    the same inequalities as integer LP rows, made once.  The
     assignment embedding is given by its coordinates: coordinate(e) is
     the table of x -> x~_e, a BoolFn on the n variables.  Instances of
     this class are built by the module factories; the embedding identity
@@ -137,6 +138,9 @@ class PolyhedralRelaxation:
         self.n = n
         self.dim = dim
         self.inequalities = tuple(inequalities)
+        self.rows = linear_program(
+            dim, [(row, "<=", rhs) for row, rhs in self.inequalities],
+            (0,) * dim).constraints
         self.labels = tuple(labels)
         self.coordinate = coordinate
         self.instance_embed = instance_embed
@@ -173,10 +177,9 @@ class PolyhedralRelaxation:
                                 for a, s in entries])
             peak = [max(map(abs, set(col))) for col in cols]
             bound = max(peak, default=0)
-            for row, rhs in self.inequalities:
-                _, b, terms = int_row(row.items(), rhs)
-                bound = max(bound, abs(b) * den
-                            + sum(abs(a) * peak[e] for e, a in terms))
+            for c in self.rows:
+                bound = max(bound, abs(c.rhs) * den
+                            + sum(abs(a) * peak[e] for e, a in c.terms))
             lanes = _Lanes(self.n, bound)
             self._points = ([lanes.pack(col) for col in cols], den, lanes,
                             spectra)
@@ -320,10 +323,7 @@ def lp_value(rel: PolyhedralRelaxation, inst: Instance) -> Fraction:
     vec = rel.instance_embed(inst)
     _validate_points(rel)
     _validate_pairing(rel, inst, vec)
-    lp = linear_program(rel.dim,
-                        [(row, "<=", rhs) for row, rhs in rel.inequalities],
-                        vec, "maximize")
-    sol = solve_lp(lp)
+    sol = solve_lp(LinearProgram(rel.dim, rel.rows, vec))
     if sol.status == "unbounded":
         raise UnboundedError(f"{rel.name} does not bound this objective")
     if sol.status != "optimal":
@@ -355,15 +355,14 @@ def slack_functions(rel: PolyhedralRelaxation) -> tuple[BoolFn, ...]:
     cols, den, lanes, col_spectra = rel.point_columns()
     high = lanes.high
     out = []
-    for i, (row, rhs) in enumerate(rel.inequalities):
+    for i, c in enumerate(rel.rows):
         # with L the row's scale: L * den * q_i = (L b) den - sum_e (L a_e)
         # cols[e], all integers, and the transform of the constant (L b) den
         # is (L b) den 2^n at 0
-        scale, b_int, terms = int_row(row.items(), rhs)
-        b_int *= den
+        b_int = c.rhs * den
         table = b_int * lanes.ones + high
         spectrum = {0: b_int << n}
-        for e, a_int in terms:
+        for e, a_int in c.terms:
             table -= a_int * cols[e]
             for m, s in col_spectra[e]:
                 spectrum[m] = spectrum.get(m, 0) - a_int * s
@@ -371,8 +370,8 @@ def slack_functions(rel: PolyhedralRelaxation) -> tuple[BoolFn, ...]:
             raise InputError(
                 f"{rel.name}: an embedded assignment violates row {i} "
                 f"({rel.labels[i]})")
-        q = BoolFn.from_ints(n, lanes.unpack(table), scale * den)
-        _cache_spectrum(q, sorted(spectrum.items()), (scale * den) << n)
+        q = BoolFn.from_ints(n, lanes.unpack(table), c.scale * den)
+        _cache_spectrum(q, sorted(spectrum.items()), (c.scale * den) << n)
         out.append(q)
     rel._slacks = tuple(out)
     return rel._slacks

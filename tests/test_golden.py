@@ -397,8 +397,8 @@ GOLDEN = {
     'pe_to_json(sa C5,3)': '30f3b75caf8442708355737646981594e10f0f510f2f4b7cfaacd0fb04df935c',
     'pe_to_json(sa C9,3)': 'b9393c7fe3b8dd62656c2baa552379382af76417acf56481dae6b4349982917f',
     'protocol_tail_probabilities(K4,K4-e,T=3)': '6938bd612ebcc5279852a45c0100a05a7f0f8718fe1ff3d7b4471745dd3e423c',
-    'repr(build_edge_sa_lp(C5,1))': 'e672d105281ee03df850ff49dbb0258335062ae13a3aee0a65d88d0a2017c651',
-    'repr(build_edge_sa_lp(K4-e,2))': 'b856a6befb97ee1192b8113b5974bd6bb274738814651f741f811d3eed4f5f7f',
+    'repr(build_edge_sa_lp(C5,1))': '03aa96354a99390caaec981501558ad877a19185618c081d837c942b72b45fb3',
+    'repr(build_edge_sa_lp(K4-e,2))': '1e65107f7cf1a2d9e43e602652efcf31035cc41237169cc6bad883c35b310865',
     'restriction_report(failing, no seed)': '163043912d9aeadca6822d71c952ade8b176fbae3e136ef624d33d444b3b5be7',
     'slack_functions(metric(7))': '75c5e0723e0124d6814b54213558261f21e90dfc1ed55bf5adb07bf574152f72',
     'slack_functions(oversized file relaxation)': 'e8976dd09c762d5b406b8d0632a77231b1bec325b3a322e1e451dc797d7b8cd4',

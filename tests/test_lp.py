@@ -117,11 +117,17 @@ def test_bad_variable_key_rejected(row):
 
 
 def test_direct_construction_is_validated():
-    ok = LinearConstraint(((0, F(1)),), "<=", F(1), 2)
+    ok = LinearConstraint(((0, 1),), "<=", 1, 2)
     LinearProgram(2, (ok,), (F(1), F(0)))
-    for bad in (LinearConstraint(((0, F(1)),), "<<", F(1), 2),
-                LinearConstraint(((2, F(1)),), "<=", F(1), 2),
-                LinearConstraint(((0, F(1)),), "<=", F(1), 3)):
+    LinearProgram(2, (LinearConstraint(((0, 1),), "<=", 1, 2, 3),),
+                  (F(1), F(0)))
+    for bad in (LinearConstraint(((0, 1),), "<<", 1, 2),
+                LinearConstraint(((2, 1),), "<=", 1, 2),
+                LinearConstraint(((0, 1),), "<=", 1, 3),
+                LinearConstraint(((0, F(1)),), "<=", 1, 2),
+                LinearConstraint(((0, 1),), "<=", F(1), 2),
+                LinearConstraint(((0, 1),), "<=", 1, 2, 0),
+                LinearConstraint(((0, True),), "<=", 1, 2)):
         with pytest.raises(InputError):
             LinearProgram(2, (ok, bad), (F(1), F(0)))
     with pytest.raises(InputError):
@@ -133,11 +139,12 @@ def test_direct_construction_is_validated():
 def test_zero_coefficients_are_not_stored():
     lp = linear_program(3, [({2: F(1, 2), 0: 0, 1: F(0)}, "<=", 1),
                             ({1: -1, 0: 3}, ">=", 0)], (1, 1, 1))
-    assert [c.terms for c in lp.constraints] == [((2, F(1, 2)),),
-                                                 ((0, F(3)), (1, F(-1)))]
+    # {2: 1/2} <= 1 is stored as the integer row {2: 1} <= 2 over scale 2
+    assert [(c.terms, c.rhs, c.scale) for c in lp.constraints] == [
+        (((2, 1),), 2, 2), (((0, 3), (1, -1)), 0, 1)]
     assert lp_nonzeros(lp) == 3
-    assert lp.constraints[0].coeffs == (F(0), F(0), F(1, 2))
-    assert lp.constraints[1].coeffs == (F(3), F(-1), F(0))
+    assert lp.constraints[0].coeffs == (0, 0, 1)
+    assert lp.constraints[1].coeffs == (3, -1, 0)
 
 
 def test_size_cap(monkeypatch):
@@ -253,7 +260,7 @@ def test_check_infeasible_rejects_corruptions():
 
 
 def test_core_column_sign_matches_negated_column():
-    # a (terms, -1) column is solved as the column of negated Fractions:
+    # a (terms, -1) column is solved as the column of negated integers:
     # same status, point, value, duals, certificate and ray
     statuses = set()
     for seed in range(150):
@@ -265,14 +272,15 @@ def test_core_column_sign_matches_negated_column():
 
         signed = []
         for _ in range(ncols):
-            terms = [(r, q()) for r in sorted(rng.sample(range(m),
-                                                        rng.randint(1, m)))]
+            terms = [(r, rng.randint(-4, 4))
+                     for r in sorted(rng.sample(range(m), rng.randint(1, m)))]
             signed.append((terms, rng.choice((1, -1))))
         negated = [([(r, s * v) for r, v in terms], 1) for terms, s in signed]
         b = [q() for _ in range(m)]
         costs = [q() for _ in range(ncols)]
-        got = _solve_standard(signed, b, costs)
-        want = _solve_standard(negated, b, costs)
+        scales = [rng.choice((1, 2, 3, 7)) for _ in range(m)]
+        got = _solve_standard(signed, b, costs, scales)
+        want = _solve_standard(negated, b, costs, scales)
         assert [getattr(got, f) for f in got.__slots__] == \
             [getattr(want, f) for f in want.__slots__], seed
         statuses.add(got.status)
@@ -280,8 +288,8 @@ def test_core_column_sign_matches_negated_column():
 
 
 def _rationals(bound: int):
-    """Rationals k/q with |k| <= bound and q in {1, 2, 3, 7}, so the core
-    scales rows and costs by lcms above 1."""
+    """Rationals k/q with |k| <= bound and q in {1, 2, 3, 7}, so rows get
+    scales above 1 and the core takes b and the costs over lcms above 1."""
     return st.builds(F, st.integers(-bound, bound),
                      st.sampled_from([1, 2, 3, 7]))
 
@@ -409,9 +417,10 @@ def _reference_check_optimal(lp, sol, nonneg=frozenset()):
     """_check_optimal's conditions, in its order, on Fractions."""
     x = sol.point
     for i, c in enumerate(lp.constraints):
-        lhs = sum(a * x[j] for j, a in c.terms)
-        ok = (lhs <= c.rhs if c.relation == "<="
-              else lhs >= c.rhs if c.relation == ">=" else lhs == c.rhs)
+        terms, rhs = _rational_row(c)
+        lhs = sum(a * x[j] for j, a in terms)
+        ok = (lhs <= rhs if c.relation == "<="
+              else lhs >= rhs if c.relation == ">=" else lhs == rhs)
         if not ok:
             raise InternalError(f"solution violates constraint {i}")
     for j in nonneg:
@@ -427,7 +436,8 @@ def _reference_check_optimal(lp, sol, nonneg=frozenset()):
         gap = v - o if maximize else o - v
         if gap < 0 or (gap and j not in nonneg):
             raise InternalError(f"dual combination mismatch at var {j}")
-    if sum(m_i * c.rhs for m_i, c in zip(mult, lp.constraints)) != sol.value:
+    if sum(m_i * _rational_row(c)[1]
+           for m_i, c in zip(mult, lp.constraints)) != sol.value:
         raise InternalError("strong duality mismatch")
 
 
@@ -437,16 +447,23 @@ def _reference_check_infeasible(lp, sol, nonneg=frozenset()):
     for j, v in enumerate(_reference_combination(lp, mult)):
         if v < 0 or (v and j not in nonneg):
             raise InternalError(f"certificate combination wrong at var {j}")
-    if sum(m_i * c.rhs for m_i, c in zip(mult, lp.constraints)) != -1:
+    if sum(m_i * _rational_row(c)[1]
+           for m_i, c in zip(mult, lp.constraints)) != -1:
         raise InternalError("certificate not normalized")
 
 
 def _reference_combination(lp, mult):
     acc = [F(0)] * lp.num_vars
     for m_i, c in zip(mult, lp.constraints):
-        for j, a in c.terms:
+        for j, a in _rational_row(c)[0]:
             acc[j] += m_i * a
     return acc
+
+
+def _rational_row(c):
+    """The constraint's terms and rhs as Fractions: its integer row over
+    its scale."""
+    return ([(j, F(a, c.scale)) for j, a in c.terms], F(c.rhs, c.scale))
 
 
 def _reference_signs(lp, mult, pos, what):

@@ -7,7 +7,8 @@ import pytest
 
 from liftgap.boolfn import BoolFn, FourierCoeffs
 from liftgap.csp import (brute_force_opt, cycle, graph_instance,
-                         instance_polynomial, plant, random_graph)
+                         instance_polynomial, plant, random_3sat,
+                         random_graph)
 from liftgap.errors import HypothesisError, InputError, ParameterError
 from liftgap.lp import linear_program
 from liftgap.sa import (EdgeFunctional, PseudoExpectation, _all_pairs,
@@ -82,6 +83,13 @@ def test_monotone_in_level():
         inst = random_graph(6, F(1, 2), seed)
         values = [sa_value(inst, d)[0] for d in (2, 3, 4)]
         assert values[0] >= values[1] >= values[2] >= brute_force_opt(inst)[0]
+
+
+def test_desk_scale_3sat_level_three_equals_optimum():
+    # the objective's denominators divide 8m = 480; the LP is wide, so the
+    # core solves its dual, where they are the right-hand side
+    inst = random_3sat(8, 60, 1)
+    assert sa_value(inst, 3)[0] == brute_force_opt(inst)[0] == F(59, 60)
 
 
 def test_level_above_n_is_full_level():
