@@ -5,9 +5,14 @@ positive denominator `den`, in lowest terms, so equal functions have
 equal (den, nums).  Every exact operation here (mean, sup norm, density
 checks, transforms, junta tests) runs on those integers;
 `values`, the table as Fractions, is built on first use for callers that
-want rationals.  Index bit b of a table position is 1 exactly when
-x_{b+1} = -1; position 0 is the all-ones assignment.  This indexing is
-part of the JSON file format contract:
+want rationals.  A table may be deferred: it is made with a function
+that builds its numerators (slack.slack_functions unpacks a row's packed
+lanes), and nums and den are built and reduced on their first read, so
+a caller that never reads them never pays for the table.
+
+Index bit b of a table position is 1 exactly when x_{b+1} = -1;
+position 0 is the all-ones assignment.  This indexing is part of the
+JSON file format contract:
 
     {"n": 3, "values": ["1/2", "0", ...]}   # length exactly 2^n
 
@@ -24,9 +29,15 @@ relaxation coordinate comes with its closed form, slack.slack_functions
 derives each slack's from its row (the rhs at mask 0 minus the row's
 combination of the coordinates' spectra), and `scaled` carries a known
 spectrum over times the factor.  The mean is the mask-0 entry of a known
-spectrum.  The table's (min, max) is cached once for the sup norm and
-the density checks, and `scaled` carries it over too.  Entropy is the
-single deliberately floating-point quantity in the package.
+spectrum, and a sup norm within a bound is decided from a known
+spectrum whenever the sum of its absolute entries is within it.  The
+table's (min, max) is cached once for the exact sup norm and the density
+checks, and `scaled` carries it over too.  A table can also carry the
+fact that it is nonnegative, recorded by the code that proved it
+(slack.slack_functions checks every lane) and kept by `scaled` with a
+positive factor; Density trusts that field and otherwise reads the
+table's min.  Entropy is the single deliberately floating-point
+quantity in the package.
 """
 
 from __future__ import annotations
@@ -36,12 +47,12 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .caps import caps
 from .errors import InputError, ParameterError, SizeCapError
-from .rationals import (GammaLike, format_rational, gamma_below_abs,
-                        gamma_count_within, int_vector, parse_rational)
+from .rationals import (GammaLike, format_rational, gamma_count_within,
+                        int_vector, parse_rational, threshold_power)
 
 ENTROPY_TOLERANCE = 1e-12  # documented absolute tolerance of entropy_deficit
 
@@ -54,6 +65,20 @@ def mask_of(variables: Iterable[int], n: int) -> int:
             raise InputError(f"variable {i} outside [1, {n}]")
         m |= 1 << (i - 1)
     return m
+
+
+def _lowest_terms(nums: Sequence[int], den: int) -> tuple[Sequence[int], int]:
+    """The table nums / den, for den != 0, in lowest terms: divided by the
+    gcd of den and nums, with the sign that makes den positive.  A den of
+    1 keeps nums as they are."""
+    if den != 1:
+        g = math.gcd(den, *nums)
+        if den < 0:
+            g = -g
+        if g != 1:
+            nums = [v // g for v in nums]
+            den //= g
+    return nums, den
 
 
 def vars_of(mask: int) -> frozenset[int]:
@@ -69,16 +94,21 @@ def vars_of(mask: int) -> frozenset[int]:
 
 class BoolFn:
     """Function {-1,1}^n -> Q as the table nums[i] / den; immutable by
-    convention."""
+    convention.  A deferred table (see `deferred`) builds nums and den on
+    their first read."""
 
-    __slots__ = ("n", "nums", "den", "_values", "_spectrum", "_coeffs",
-                 "_mean", "_range")
+    # _pending: (build, den) of a deferred table until it is built, else
+    # None; _nonneg: every entry is proved >= 0, recorded by the code that
+    # proved it
+    __slots__ = ("n", "_nums", "_den", "_pending", "_values", "_spectrum",
+                 "_coeffs", "_mean", "_range", "_nonneg")
 
     def __init__(self, n: int, values: Sequence[Fraction]):
         # over the lcm of reduced denominators the table is in lowest terms
         nums, den = int_vector(
             [v if type(v) is Fraction else Fraction(v) for v in values])
-        self._init(n, nums, den)
+        self._init(n)
+        self._set_table(nums, den)
 
     @classmethod
     def from_ints(cls, n: int, nums: Sequence[int], den: int = 1) -> "BoolFn":
@@ -86,32 +116,61 @@ class BoolFn:
         to lowest terms (a tuple in lowest terms is kept, not copied)."""
         if den == 0:
             raise InputError("zero denominator")
-        if den != 1:
-            g = math.gcd(den, *nums)
-            if den < 0:
-                g = -g
-            if g != 1:
-                nums = [v // g for v in nums]
-                den //= g
         f = object.__new__(cls)
-        f._init(n, nums, den)
+        f._init(n)
+        f._set_table(*_lowest_terms(nums, den))
         return f
 
-    def _init(self, n: int, nums: Sequence[int], den: int) -> None:
+    @classmethod
+    def deferred(cls, n: int, build: Callable[[], Sequence[int]],
+                 den: int) -> "BoolFn":
+        """The table build() / den, for a den > 0 and a build giving 2^n
+        integers.  build runs on the first read of nums or den, and its
+        table is then reduced to lowest terms as from_ints reduces it."""
+        f = object.__new__(cls)
+        f._init(n)
+        f._pending = (build, den)
+        return f
+
+    def _init(self, n: int) -> None:
         if n < 0:
             raise InputError("n must be nonnegative")
         if n > caps().boolfn_n:
             raise SizeCapError(f"n = {n} exceeds table cap {caps().boolfn_n}")
-        if len(nums) != 1 << n:
-            raise InputError(f"table length {len(nums)} != 2^{n}")
         self.n = n
-        self.nums = tuple(nums)
-        self.den = den
+        self._nums = None
+        self._den = None
+        self._pending = None
         self._values = None
         self._spectrum = None
         self._coeffs = None
         self._mean = None
         self._range = None
+        self._nonneg = False
+
+    def _set_table(self, nums: Sequence[int], den: int) -> None:
+        if len(nums) != 1 << self.n:
+            raise InputError(f"table length {len(nums)} != 2^{self.n}")
+        self._nums = tuple(nums)
+        self._den = den
+
+    def _build(self) -> None:
+        build, den = self._pending
+        self._set_table(*_lowest_terms(build(), den))
+        self._pending = None
+
+    @property
+    def nums(self) -> tuple[int, ...]:
+        """The numerators, in lowest terms over den."""
+        if self._nums is None:
+            self._build()
+        return self._nums
+
+    @property
+    def den(self) -> int:
+        if self._nums is None:
+            self._build()
+        return self._den
 
     @property
     def values(self) -> tuple[Fraction, ...]:
@@ -154,14 +213,33 @@ class BoolFn:
         lo, hi = self._num_range()
         return Fraction(max(hi, -lo), self.den)
 
+    def sup_norm_at_most(self, cap: Fraction | int) -> bool:
+        """sup_norm() <= cap, exactly.  Each f(x) is sum_a f^(a) chi_a(x),
+        so max|f| <= sum_a |f^(a)|: with the spectrum known, a sum within
+        cap decides it without the table.  Otherwise the table's exact
+        range does."""
+        if self._spectrum is not None:
+            entries, scale = self._spectrum
+            cap = Fraction(cap)
+            if (sum(abs(s) for _, s in entries) * cap.denominator
+                    <= cap.numerator * scale):
+                return True
+        return self.sup_norm() <= cap
+
     def scaled(self, factor: Fraction | int) -> "BoolFn":
-        """The function times a rational factor, exactly."""
+        """The function times a rational factor, exactly.  A deferred
+        table stays deferred."""
         factor = Fraction(factor)
         if factor == 1:
             return self
         p, q = factor.numerator, factor.denominator
-        out = BoolFn.from_ints(self.n, [v * p for v in self.nums],
-                               self.den * q)
+        if self._pending is not None:
+            build, den = self._pending
+            out = BoolFn.deferred(self.n, lambda: [v * p for v in build()],
+                                  den * q)
+        else:
+            out = BoolFn.from_ints(self.n, [v * p for v in self.nums],
+                                   self.den * q)
         if self._spectrum is not None and p:
             # the transform is linear, so the spectrum scales with the table
             entries, scale = self._spectrum
@@ -172,6 +250,7 @@ class BoolFn:
             g = self.den * q // out.den
             lo, hi = (v * p // g for v in self._range)
             out._range = (lo, hi) if p > 0 else (hi, lo)
+        out._nonneg = self._nonneg and p > 0
         return out
 
     @staticmethod
@@ -267,7 +346,9 @@ class Density(object):
     __slots__ = ("fn", "_entropy_deficit")
 
     def __init__(self, fn: BoolFn):
-        if fn._num_range()[0] < 0:
+        # a nonnegativity proved where fn was made is carried in
+        # fn._nonneg; without it the table's exact min decides
+        if not fn._nonneg and fn._num_range()[0] < 0:
             raise InputError("density must be nonnegative")
         if fn.mean() != 1:
             raise InputError("density must have mean exactly 1")
@@ -333,20 +414,24 @@ def chang_junta(q: Density, t: Fraction | int, d: int,
     if not 1 <= d <= q.n:
         raise ParameterError(f"need 1 <= d <= n, got d={d}, n={q.n}")
     t = Fraction(t)
-    coeffs = fourier_transform(q.fn)
-    large = [(a, v) for a, v in coeffs.coeffs.items()
-             if a.bit_count() <= d and gamma_below_abs(gamma, v)]
+    # coefficient a is s / scale: with gamma^k == N / D it is large when
+    # D |s|^k > N scale^k, and one scale orders them as their integers
+    entries, scale = integer_spectrum(q.fn)
+    k, num, den = threshold_power(gamma)
+    bound = num * scale ** k
+    large = [(a, s) for a, s in entries
+             if a.bit_count() <= d and den * abs(s) ** k > bound]
     large.sort(key=lambda av: (-abs(av[1]), av[0]))
 
     pivots: dict[int, int] = {}  # highest set bit -> reduced mask
-    independent: list[tuple[int, Fraction]] = []
-    for a, v in large:
+    independent: list[tuple[int, int]] = []
+    for a, s in large:
         reduced = a
         while reduced:
             hb = reduced.bit_length() - 1
             if hb not in pivots:
                 pivots[hb] = reduced
-                independent.append((a, v))
+                independent.append((a, s))
                 break
             reduced ^= pivots[hb]
 
@@ -355,7 +440,7 @@ def chang_junta(q: Density, t: Fraction | int, d: int,
         junta_mask |= a
     ok = gamma_count_within(gamma, len(independent), 2 * t)
     violations = () if ok else tuple(
-        (vars_of(a), v) for a, v in independent)
+        (vars_of(a), Fraction(s, scale)) for a, s in independent)
     return JuntaCertificate(junta=vars_of(junta_mask), degree=d, gamma=gamma,
                             t=t, success=ok, violations=violations)
 

@@ -562,11 +562,13 @@ def solve_lp(lp: LinearProgram) -> LPSolution:
 
 
 def farkas_feasibility(num_vars: int,
-                       equalities: Sequence[tuple[Mapping, object]],
+                       equalities: Sequence[tuple[Mapping, object]
+                                            | LinearConstraint],
                        nonneg: Iterable[int] | None = None) -> LPSolution:
     """Exact feasibility for  A.x = b  over num_vars variables, given as
-    ({variable: coeff}, rhs) rows, with x >= 0 on the flagged variables
-    (all of them by default) and free otherwise.
+    ({variable: coeff}, rhs) rows, or as "=" LinearConstraint rows already
+    in integer form, with x >= 0 on the flagged variables (all of them by
+    default) and free otherwise.
 
     solve_lp's primal adapter and verifier on the "=" rows with a zero
     objective.  Optimal: point is an exact solution (value 0, all duals 0),
@@ -575,10 +577,18 @@ def farkas_feasibility(num_vars: int,
     satisfy, exactly, (y.A)_j >= 0 for flagged j, (y.A)_j == 0 for free j,
     and y.b == -1.
     """
-    rows = [(coeffs, EQUAL, rhs) for coeffs, rhs in equalities]
-    if not rows:
+    if not equalities:
         raise InputError("empty system")
-    lp = linear_program(num_vars, rows, (0,) * num_vars)
+    zero = (Fraction(0),) * num_vars
+    if isinstance(equalities[0], LinearConstraint):
+        if not all(isinstance(c, LinearConstraint) and c.relation == EQUAL
+                   for c in equalities):
+            raise InputError("integer rows must all be '=' constraints")
+        lp = LinearProgram(num_vars, tuple(equalities), zero)
+    else:
+        lp = linear_program(
+            num_vars, [(coeffs, EQUAL, rhs) for coeffs, rhs in equalities],
+            zero)
     everything = frozenset(range(num_vars))
     flagged = everything if nonneg is None else frozenset(nonneg)
     if not flagged <= everything:

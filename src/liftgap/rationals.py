@@ -5,10 +5,10 @@ r**(1/4).
 fractions.Fraction is the rational type of the public API; values are
 always in lowest terms with positive denominator, which the text form
 relies on.  Comparisons against root thresholds are done on squares and
-fourth powers so every verdict is an integer comparison.  int_vector is
-the one way a rational vector is scaled to integers (lp.linear_program
-scales a constraint row); json_value is the one mapping from report
-dataclasses to JSON.
+fourth powers of numerators and denominators (threshold_power), so every
+verdict is an integer comparison.  int_vector is the one way a rational
+vector is scaled to integers (lp.linear_program scales a constraint
+row); json_value is the one mapping from report dataclasses to JSON.
 """
 
 from __future__ import annotations
@@ -111,15 +111,26 @@ class QuarticThreshold:
 GammaLike = Union[Fraction, int, SqrtThreshold, QuarticThreshold]
 
 
+def threshold_power(gamma: GammaLike) -> tuple[int, int, int]:
+    """(k, N, D) with gamma**k == N / D and D > 0: k is 4 for a
+    QuarticThreshold, 2 for a SqrtThreshold and 1 for a rational
+    gamma >= 0.  For integers s and scale > 0, gamma < |s| / scale exactly
+    when D |s|**k > N scale**k, a comparison of integers."""
+    if isinstance(gamma, QuarticThreshold):
+        r, k = gamma.fourth_power, 4
+    elif isinstance(gamma, SqrtThreshold):
+        r, k = gamma.square, 2
+    elif gamma < 0:
+        raise InputError("negative threshold")
+    else:
+        r, k = Fraction(gamma), 1
+    return k, r.numerator, r.denominator
+
+
 def gamma_below_abs(gamma: GammaLike, x: Fraction) -> bool:
     """gamma < |x|, exactly (the 'coefficient exceeds threshold' test)."""
-    if isinstance(gamma, QuarticThreshold):
-        return gamma.fourth_power < (x * x) ** 2
-    if isinstance(gamma, SqrtThreshold):
-        return gamma.square < x * x
-    if gamma < 0:
-        raise InputError("negative threshold")
-    return gamma < abs(x)
+    k, num, den = threshold_power(gamma)
+    return den * abs(x.numerator) ** k > num * x.denominator ** k
 
 
 def gamma_count_within(gamma: GammaLike, count: int, budget: Fraction) -> bool:

@@ -5,12 +5,16 @@ keep the smooth ones (sup norm within 2^t), sample a random m-subset S
 of coordinates until every smooth density looks like a small junta with
 tiny stray coefficients inside S, plant the base instance and its
 optimal level-d functional on S, and machine-check the resulting value
-inequality with every error term computed exactly.
+inequality with every error term computed exactly.  The pipeline reads
+the slacks' spectra and carried facts, not their tables: a density's
+mean is its spectrum's mask-0 entry, its nonnegativity is the fact
+slack_functions proved, and its smoothness is decided by the sum of its
+absolute spectrum entries whenever that sum is within 2^t.
 
 Thresholds of the form (16mtd/sqrt(n))^(1/2) are irrational; they are
 carried as fourth-power data and every comparison is made on fourth
-powers, so all verdicts are exact.  The one floating-point output is the
-asymptotic error estimate epsilon(n).
+powers of integers, so all verdicts are exact.  The one floating-point
+output is the asymptotic error estimate epsilon(n).
 
 The symmetric side: detect (junta coordinates + level) structure of a
 function, restrict along the antidiagonal x -> (x, -x), and observe the
@@ -160,7 +164,7 @@ def check_restriction(densities: Sequence[Density], S: AbstractSet[int],
         if q.n != n:
             raise InputError(f"density {i} lives on {q.n} vars, expected {n}")
         err = None
-        if q.fn.sup_norm() > sup_cap:
+        if not q.fn.sup_norm_at_most(sup_cap):
             err = f"sup norm {q.fn.sup_norm()} exceeds 2^{t}"
         cert = chang_junta(q, t, d, gamma)
         if not cert.success and err is None:
@@ -282,7 +286,7 @@ def main_inequality_experiment(rel: PolyhedralRelaxation, inst0: Instance,
 
     sup_cap = 1 << t
     smooth_ids = [i for i, dq in enumerate(densities)
-                  if dq is not None and dq.fn.sup_norm() <= sup_cap]
+                  if dq is not None and dq.fn.sup_norm_at_most(sup_cap)]
     rough = sum(1 for dq in densities if dq is not None) - len(smooth_ids)
     smooth = [densities[i] for i in smooth_ids]
 
@@ -386,8 +390,9 @@ def antidiagonal_restriction(q: BoolFn) -> BoolFn:
         raise InputError("antidiagonal restriction needs an even variable count")
     m = q.n // 2
     half = (1 << m) - 1
+    nums = q.nums
     return BoolFn.from_ints(
-        m, [q.nums[x | ((~x & half) << m)] for x in range(1 << m)], q.den)
+        m, [nums[x | ((~x & half) << m)] for x in range(1 << m)], q.den)
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,7 @@ whose inner dimension is the message count.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import logging
@@ -36,7 +37,8 @@ from .csp import (Instance, _satisfied_count, brute_force_opt, evaluate,
                   instance_polynomial, is_maxcut)
 from .errors import (CertificationError, InputError, InternalError,
                      SizeCapError, UnboundedError)
-from .lp import LinearProgram, farkas_feasibility, linear_program, solve_lp
+from .lp import (EQUAL, LinearConstraint, LinearProgram, farkas_feasibility,
+                 linear_program, solve_lp)
 from .rationals import format_rational, int_vector
 from .sa import _indicators, sa_variable_masks
 
@@ -341,7 +343,11 @@ def slack_functions(rel: PolyhedralRelaxation) -> tuple[BoolFn, ...]:
     Each table is built on the packed lanes of point_columns, with the row
     scaled to integers: (L b) den in every lane minus sum_e (L a_e) cols[e],
     a few big-int operations per row.  With HIGH added, the check that
-    every lane is nonnegative is one AND against the lanes' top bits.
+    every lane is nonnegative is one AND against the lanes' top bits, and
+    each BoolFn records it as its nonnegativity fact.  The BoolFn keeps
+    the packed lanes, deferred: its nums and den are unpacked and reduced
+    to lowest terms on their first read, so a caller that reads only
+    spectra, means and sup norm bounds never unpacks a table.
 
     Each table comes with its Fourier spectrum cached.  The transform is
     linear, so spec(q_i) is b_i at mask 0 minus sum_e a_ie spec(col_e):
@@ -370,7 +376,9 @@ def slack_functions(rel: PolyhedralRelaxation) -> tuple[BoolFn, ...]:
             raise InputError(
                 f"{rel.name}: an embedded assignment violates row {i} "
                 f"({rel.labels[i]})")
-        q = BoolFn.from_ints(n, lanes.unpack(table), c.scale * den)
+        q = BoolFn.deferred(n, functools.partial(lanes.unpack, table),
+                            c.scale * den)
+        q._nonneg = True  # every lane passed the check above
         _cache_spectrum(q, sorted(spectrum.items()), (c.scale * den) << n)
         out.append(q)
     rel._slacks = tuple(out)
@@ -398,20 +406,42 @@ def farkas_decompose(c: Fraction, inst: Instance,
         raise SizeCapError(f"n = {rel.n} exceeds decomposition cap")
     c = Fraction(c)
     slacks = slack_functions(rel)
-    size = 1 << rel.n
-    equalities = []
-    for x in range(size):
-        row = {0: 1}
-        for i, q in enumerate(slacks, 1):
-            if q.nums[x]:
-                row[i] = q.values[x]
-        equalities.append((row, c - evaluate(inst, x)))
-    sol = farkas_feasibility(1 + len(slacks), equalities)
+    sol = farkas_feasibility(1 + len(slacks),
+                             _decomposition_rows(c, inst, slacks, rel.n))
     if sol.status == "optimal":
         return FarkasDecomposition(feasible=True, lam0=sol.point[0],
                                    lam=tuple(sol.point[1:]))
     return FarkasDecomposition(feasible=False,
                                certificate=sol.dual_certificate)
+
+
+def _decomposition_rows(c: Fraction, inst: Instance,
+                        slacks: Sequence[BoolFn],
+                        n: int) -> list[LinearConstraint]:
+    """farkas_decompose's equalities lam0 + sum_i q_i(x) lam_i = c - inst(x),
+    one per assignment x of the n variables, as the integer rows
+    linear_program makes of them: entry q_i(x) = nums[x] / den is reduced
+    to lowest terms, and the row is scaled by the lcm of its
+    denominators, the rhs's included.  The tables are read as integers;
+    no entry becomes a Fraction."""
+    width = 1 + len(slacks)
+    tables = [(i, q.nums, q.den) for i, q in enumerate(slacks, 1)]
+    rows = []
+    for x in range(1 << n):
+        rhs = c - evaluate(inst, x)
+        entries = []
+        for i, nums, den in tables:
+            v = nums[x]
+            if v:
+                g = math.gcd(v, den)
+                entries.append((i, v // g, den // g))
+        scale = math.lcm(rhs.denominator, *{d for _, _, d in entries})
+        terms = [(0, scale)]
+        terms += [(i, v * (scale // d)) for i, v, d in entries]
+        rows.append(LinearConstraint(
+            tuple(terms), EQUAL, rhs.numerator * (scale // rhs.denominator),
+            width, scale))
+    return rows
 
 
 def verify_decomposition(c: Fraction, inst: Instance, lam0: Fraction,

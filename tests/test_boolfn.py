@@ -7,11 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from liftgap.errors import InputError, ParameterError, SizeCapError
-from liftgap.boolfn import (BoolFn, Density, ENTROPY_TOLERANCE, boolfn_from_json,
-                            boolfn_to_json, chang_junta, entropy_deficit,
-                            fourier_transform, integer_spectrum,
-                            inverse_transform, junta_support, mask_of,
-                            vars_of)
+from liftgap.boolfn import (BoolFn, Density, ENTROPY_TOLERANCE, _cache_spectrum,
+                            boolfn_from_json, boolfn_to_json, chang_junta,
+                            entropy_deficit, fourier_transform,
+                            integer_spectrum, inverse_transform,
+                            junta_support, mask_of, vars_of)
+from liftgap.rationals import QuarticThreshold, SqrtThreshold
 
 F = Fraction
 
@@ -54,6 +55,94 @@ def test_scaled_carries_the_range():
         assert g._num_range() == (min(g.nums), max(g.nums)), r
         assert g.sup_norm() == max(abs(v) for v in g.values) == 3 * abs(r)
     assert f.scaled(0)._range is None
+
+
+def _deferred(n, nums, den):
+    """nums / den as a deferred table, and the list of its builds."""
+    builds = []
+
+    def build():
+        builds.append(1)
+        return list(nums)
+
+    return BoolFn.deferred(n, build, den), builds
+
+
+@pytest.mark.parametrize("reader", [
+    lambda f: f.nums, lambda f: f.den, hash, lambda f: f.values,
+    lambda f: f == BoolFn.from_ints(2, [2, -5, 0, 12], 6),
+], ids=["nums", "den", "hash", "values", "eq"])
+def test_deferred_table_is_built_once_on_first_read(reader):
+    f, builds = _deferred(2, [12, -30, 0, 72], 36)
+    assert f._nums is None and not builds
+    reader(f)
+    assert builds == [1]
+    assert (f.nums, f.den) == ((2, -5, 0, 12), 6)
+    assert f == BoolFn.from_ints(2, [12, -30, 0, 72], 36)
+    assert hash(f) == hash(BoolFn(2, [F(1, 3), F(-5, 6), F(0), F(2)]))
+    assert f.values == (F(1, 3), F(-5, 6), F(0), F(2))
+    assert builds == [1]
+
+
+def test_scaled_keeps_a_table_deferred():
+    f, builds = _deferred(2, [12, -30, 0, 72], 36)
+    g = f.scaled(F(-3, 4))
+    assert g._nums is None and not builds
+    assert g == BoolFn.from_ints(2, [12, -30, 0, 72], 36).scaled(F(-3, 4))
+    assert builds == [1] and f._nums is None
+    with pytest.raises(InputError, match="table length"):
+        BoolFn.deferred(2, lambda: [1, 2, 3], 1).nums
+
+
+def test_scaled_carries_nonnegativity_for_a_positive_factor():
+    f, builds = _deferred(2, [2, 0, 1, 1], 1)
+    f._nonneg = True
+    assert f.scaled(F(2, 3))._nonneg and f.scaled(5)._nonneg
+    assert not f.scaled(F(-1, 2))._nonneg and not f.scaled(0)._nonneg
+    assert f.scaled(1) is f
+    assert not BoolFn.constant(2, 1).scaled(2)._nonneg  # never proved
+    # a Density of a table with the fact reads no table
+    _cache_spectrum(f, *integer_spectrum(BoolFn.from_ints(2, [2, 0, 1, 1])))
+    q = Density(f.scaled(F(1, 2)).scaled(2))
+    assert q.fn._nonneg and q.fn._nums is None and not builds
+
+
+def test_density_without_the_fact_reads_the_table():
+    # mean 1 and a known spectrum, but a negative entry and no carried fact
+    eager = BoolFn.from_ints(2, [3, -1, 1, 1])
+    integer_spectrum(eager)
+    deferred, builds = _deferred(2, [3, -1, 1, 1], 1)
+    _cache_spectrum(deferred, integer_spectrum(eager)[0], 4)
+    for f in (eager, deferred):
+        assert f._spectrum is not None and not f._nonneg
+        assert f.mean() == 1
+        with pytest.raises(InputError, match="nonnegative"):
+            Density(f)
+    assert builds == [1]
+
+
+@given(st.integers(0, 5), st.integers(1, 12), st.data())
+@settings(max_examples=60, deadline=None)
+def test_sup_norm_at_most_matches_the_exact_norm(n, den, data):
+    nums = data.draw(st.lists(st.integers(-30, 30),
+                              min_size=1 << n, max_size=1 << n))
+    plain = BoolFn.from_ints(n, nums, den)
+    known = BoolFn.from_ints(n, nums, den)
+    entries, scale = integer_spectrum(known)
+    deferred, _ = _deferred(n, nums, den)
+    _cache_spectrum(deferred, entries, scale)
+    norm = plain.sup_norm()
+    spectral = F(sum(abs(s) for _, s in entries), scale)
+    eps = F(1, data.draw(st.integers(1, 10 ** 6)))
+    for cap in (norm, norm - eps, norm + eps, spectral, spectral - eps, 0,
+                F(data.draw(st.integers(0, 60)), data.draw(st.integers(1, 8)))):
+        assert plain._spectrum is None
+        for f in (plain, known, deferred):
+            assert f.sup_norm_at_most(cap) == (norm <= cap), (f, cap)
+    # within the spectral bound no table is read
+    fresh, builds = _deferred(n, nums, den)
+    _cache_spectrum(fresh, entries, scale)
+    assert fresh.sup_norm_at_most(spectral) and not builds
 
 
 def test_constant_transform():
@@ -167,6 +256,17 @@ def test_chang_failure_reports_violations():
     cert = chang_junta(point, 0, 2, F(1, 2))
     assert not cert.success
     assert cert.violations
+
+
+def test_chang_threshold_is_strict():
+    # the singleton coefficients of majority3 are exactly 1/2, gamma
+    # given as a rational, a square root and a fourth root
+    q = majority3_density()
+    for gamma in (F(1, 2), SqrtThreshold(F(1, 4)), QuarticThreshold(F(1, 16))):
+        assert chang_junta(q, 1, 1, gamma).junta == frozenset()
+    for gamma in (F(1, 2) - F(1, 10 ** 9), SqrtThreshold(F(1, 4) - F(1, 10 ** 9)),
+                  QuarticThreshold(F(1, 16) - F(1, 10 ** 9))):
+        assert chang_junta(q, 1, 1, gamma).junta == {1, 2, 3}
 
 
 def test_chang_gamma_zero_rejected():

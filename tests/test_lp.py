@@ -165,6 +165,23 @@ def test_farkas_feasibility_examples():
         farkas_feasibility(1, [])
 
 
+def test_farkas_feasibility_takes_integer_rows():
+    # x/2 + y = 3/4 and x - y/3 = 1, as dict rows and as the integer rows
+    # linear_program makes of them
+    equalities = [({0: F(1, 2), 1: 1}, F(3, 4)), ({0: 1, 1: F(-1, 3)}, 1)]
+    rows = linear_program(2, [(row, "=", b) for row, b in equalities],
+                          (0, 0)).constraints
+    assert [(c.terms, c.rhs, c.scale) for c in rows] == [
+        (((0, 2), (1, 4)), 3, 4), (((0, 3), (1, -1)), 3, 3)]
+    assert farkas_feasibility(2, list(rows)) == farkas_feasibility(
+        2, equalities)
+    assert farkas_feasibility(2, list(rows), nonneg={1}).status == OPTIMAL
+    with pytest.raises(InputError, match="'=' constraints"):
+        farkas_feasibility(2, [rows[0], equalities[1]])
+    with pytest.raises(InputError, match="'=' constraints"):
+        farkas_feasibility(2, [dataclasses.replace(rows[0], relation="<=")])
+
+
 def test_farkas_free_variables():
     # x free, y >= 0: x + y = -2 is solvable with free x
     sol = farkas_feasibility(2, [({0: 1, 1: 1}, -2)], nonneg={1})

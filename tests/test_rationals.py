@@ -9,7 +9,8 @@ from liftgap.errors import InputError
 from liftgap.rationals import (QuarticThreshold, SqrtThreshold,
                                best_upper_rational, format_rational,
                                gamma_below_abs, gamma_count_within,
-                               json_value, parse_rational, upper_approx)
+                               json_value, parse_rational, threshold_power,
+                               upper_approx)
 
 
 def test_format_and_parse_roundtrip():
@@ -75,6 +76,22 @@ def test_plain_gamma():
     assert not gamma_below_abs(Fraction(1, 2), Fraction(1, 2))
     assert gamma_count_within(Fraction(1, 4), 32, Fraction(2))
     assert not gamma_count_within(Fraction(1, 4), 33, Fraction(2))
+
+
+@given(st.fractions(min_value=0, max_value=10 ** 6),
+       st.integers(-10 ** 9, 10 ** 9), st.integers(1, 10 ** 6))
+@settings(max_examples=200, deadline=None)
+def test_threshold_power_compares_integers_as_fractions(r, s, scale):
+    # D |s|^k > N scale^k is gamma < |s / scale| in Fraction arithmetic
+    x = Fraction(s, scale)
+    for gamma, below in ((QuarticThreshold(r), r < (x * x) ** 2),
+                         (SqrtThreshold(r), r < x * x), (r, r < abs(x))):
+        k, num, den = threshold_power(gamma)
+        assert Fraction(num, den) == r and den > 0
+        assert (den * abs(s) ** k > num * scale ** k) == below
+        assert gamma_below_abs(gamma, x) == below
+    with pytest.raises(InputError):
+        threshold_power(Fraction(-1, 2))
 
 
 def test_upper_approx_exact_roots():

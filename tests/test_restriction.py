@@ -169,6 +169,18 @@ def test_main_experiment_universal_relaxation():
     assert report.dropped_slacks == (0, 1)  # the two normalization rows
 
 
+def test_main_experiment_reads_no_slack_table():
+    # means, nonnegativity, smoothness and junta extraction all come from
+    # the slacks' spectra and carried facts: a pass over a table would
+    # build it
+    rel = universal(12, 2)
+    report = main_inequality_experiment(rel, cycle(3), 2, seed=7)
+    assert report.holds and report.rough_count == 0
+    slacks = slack_functions(rel)
+    assert len(slacks) == 291
+    assert all(q._nums is None and q._values is None for q in slacks)
+
+
 def test_main_experiment_metric12():
     report = main_inequality_experiment(metric_maxcut(12), cycle(3), 2, seed=1)
     assert report.holds

@@ -1,5 +1,6 @@
 import array
 import itertools
+import json
 import logging
 import math
 import random
@@ -8,15 +9,17 @@ from fractions import Fraction
 
 import pytest
 
-from liftgap import slack
+from liftgap import cli, slack
 from liftgap.boolfn import BoolFn, fourier_transform, integer_spectrum
 from liftgap.csp import (brute_force_opt, complete, cycle, evaluate,
                          graph_instance, plant, random_3sat)
 from liftgap.errors import (CertificationError, InputError, InternalError,
                             SizeCapError, UnboundedError)
+from liftgap.lp import linear_program
 from liftgap.sa import sa_variable_masks
 from liftgap.slack import (PolyhedralRelaxation, SlackMatrix, _Lanes,
-                           _validate_pairing, _validate_points,
+                           _decomposition_rows, _validate_pairing,
+                           _validate_points,
                            build_slack_matrix,
                            factorization_product, factorization_to_csvs,
                            farkas_decompose, lp_value,
@@ -119,6 +122,106 @@ def test_slack_tables_match_definition():
                 == _slacks_from_definition(rel))
     # same polyhedron, objective doubled
     assert lp_value(_rescaled_metric4(F(1, 2)), cycle(4)) == 2
+
+
+def _documented_points(n, d=None):
+    """The embedded assignments as Fraction tuples from the documented
+    embedding, not from the coordinate tables: the cut indicators
+    [x_i != x_j] of metric(n), or the characters of universal(n, d)."""
+    if d is None:
+        return [tuple(F(x >> (i - 1) & 1 != x >> (j - 1) & 1)
+                      for i, j in itertools.combinations(range(1, n + 1), 2))
+                for x in range(1 << n)]
+    return [tuple(F((-1) ** (m & x).bit_count())
+                  for m in (0,) + sa_variable_masks(n, d))
+            for x in range(1 << n)]
+
+
+def _halved_metric_file(tmp_path, n):
+    """metric(n) as a relaxation file, row i times (i % 4 + 1) / 2, read
+    back through the CLI's file: parser.  The row scales reach 2, and
+    where a row's slack values are all even (the triangle facets) its
+    table is reduced to lowest terms."""
+    base = metric_maxcut(n)
+    path = tmp_path / "halved.json"
+    path.write_text(json.dumps({"embed": "metric", "inequalities": [
+        {"coeffs": [str(row.get(e, 0) * F(i % 4 + 1, 2))
+                    for e in range(base.dim)],
+         "b": str(rhs * F(i % 4 + 1, 2)), "label": label}
+        for i, ((row, rhs), label) in enumerate(zip(base.inequalities,
+                                                    base.labels))]}))
+    return cli._relaxation(f"file:{path}", n, {})
+
+
+# the first read of each table goes through one of these in turn
+_TABLE_READERS = (lambda q, eager: q.nums, lambda q, eager: q.den,
+                  lambda q, eager: hash(q), lambda q, eager: q == eager,
+                  lambda q, eager: q.values)
+
+
+@pytest.mark.parametrize("case", ["metric(5)", "universal(6,2)", "file"])
+def test_deferred_slack_tables_equal_eager_ones(case, tmp_path):
+    if case == "universal(6,2)":
+        rel, points = universal(6, 2), _documented_points(6, 2)
+    else:
+        rel = (metric_maxcut(5) if case == "metric(5)"
+               else _halved_metric_file(tmp_path, 5))
+        points = _documented_points(5)
+    reduced = 0
+    for i, (q, (row, rhs)) in enumerate(zip(slack_functions(rel),
+                                            rel.inequalities)):
+        want = tuple(rhs - sum(a * pt[e] for e, a in row.items())
+                     for pt in points)
+        eager = BoolFn(rel.n, want)
+        assert q._nums is None and q._nonneg
+        raw_den = q._pending[1]
+        _TABLE_READERS[i % len(_TABLE_READERS)](q, eager)
+        assert q._nums is not None and q._pending is None
+        assert (q.nums, q.den) == (eager.nums, eager.den)
+        assert q == eager and hash(q) == hash(eager)
+        assert q.values == want
+        reduced += q.den != raw_den
+    if case == "file":
+        assert max(c.scale for c in rel.rows) == 2 and reduced
+    else:
+        assert not reduced
+
+
+def _fraction_decomposition_rows(c, inst, slacks, n):
+    """The rows farkas_decompose had linear_program make, from each
+    nonzero entry q_i(x) as a Fraction."""
+    width = 1 + len(slacks)
+    return linear_program(width, [
+        ({0: 1, **{i: q.values[x] for i, q in enumerate(slacks, 1)
+                   if q.values[x]}}, "=", c - evaluate(inst, x))
+        for x in range(1 << n)], (0,) * width).constraints
+
+
+@pytest.mark.parametrize("case", ["metric(6)", "universal(6,2)", "file"])
+def test_decomposition_rows_match_linear_program(case, tmp_path):
+    # the file's tables have entries over 2
+    rel = {"metric(6)": lambda: metric_maxcut(6),
+           "universal(6,2)": lambda: universal(6, 2),
+           "file": lambda: _halved_metric_file(tmp_path, 6)}[case]()
+    slacks = slack_functions(rel)
+    inst = graph_instance(6, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6),
+                              (1, 6)])
+    for c in (F(99, 100), F(5, 6), F(1)):
+        expected = _fraction_decomposition_rows(c, inst, slacks, 6)
+        assert tuple(_decomposition_rows(c, inst, slacks, 6)) == expected
+    assert any(t.scale > 1 for t in expected)
+
+
+def test_decomposition_rows_reduce_each_entry():
+    # at x = 0 the entries 2/2 and 4/2 are integers and the rhs is 1, so
+    # the row's scale is 1 although both tables are over 2
+    slacks = [BoolFn.from_ints(2, [2, 1, 0, 3], 2),
+              BoolFn.from_ints(2, [4, 0, 1, 0], 2)]
+    inst = graph_instance(2, [(1, 2)])
+    rows = _decomposition_rows(F(1), inst, slacks, 2)
+    assert (rows[0].terms, rows[0].rhs, rows[0].scale) == (
+        ((0, 1), (1, 1), (2, 2)), 1, 1)
+    assert tuple(rows) == _fraction_decomposition_rows(F(1), inst, slacks, 2)
 
 
 def _butterfly_items(f):
