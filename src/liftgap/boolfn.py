@@ -30,14 +30,13 @@ derives each slack's from its row (the rhs at mask 0 minus the row's
 combination of the coordinates' spectra), and `scaled` carries a known
 spectrum over times the factor.  The mean is the mask-0 entry of a known
 spectrum, and a sup norm within a bound is decided from a known
-spectrum whenever the sum of its absolute entries is within it.  The
-table's (min, max) is cached once for the exact sup norm and the density
-checks, and `scaled` carries it over too.  A table can also carry the
-fact that it is nonnegative, recorded by the code that proved it
-(slack.slack_functions checks every lane) and kept by `scaled` with a
-positive factor; Density trusts that field and otherwise reads the
-table's min.  Entropy is the single deliberately floating-point
-quantity in the package.
+spectrum whenever the sum of its absolute entries is within it;
+otherwise the table's (min, max), cached on first use, decides it.  A
+table can also carry the fact that it is nonnegative, recorded by the
+code that proved it (slack.slack_functions checks every lane) and kept
+by `scaled` with a positive factor; Density trusts that field and
+otherwise reads the table's min.  Entropy is the single deliberately
+floating-point quantity in the package.
 """
 
 from __future__ import annotations
@@ -101,7 +100,7 @@ class BoolFn:
     # None; _nonneg: every entry is proved >= 0, recorded by the code that
     # proved it
     __slots__ = ("n", "_nums", "_den", "_pending", "_values", "_spectrum",
-                 "_coeffs", "_mean", "_range", "_nonneg")
+                 "_coeffs", "_range", "_nonneg")
 
     def __init__(self, n: int, values: Sequence[Fraction]):
         # over the lcm of reduced denominators the table is in lowest terms
@@ -144,7 +143,6 @@ class BoolFn:
         self._values = None
         self._spectrum = None
         self._coeffs = None
-        self._mean = None
         self._range = None
         self._nonneg = False
 
@@ -194,14 +192,11 @@ class BoolFn:
     def mean(self) -> Fraction:
         """The coefficient at mask 0: read off a known spectrum, whose
         entries are in increasing mask order, else summed."""
-        if self._mean is None:
-            if self._spectrum is None:
-                self._mean = Fraction(sum(self.nums), self.den << self.n)
-            else:
-                entries, scale = self._spectrum
-                s = entries[0][1] if entries and entries[0][0] == 0 else 0
-                self._mean = Fraction(s, scale)
-        return self._mean
+        if self._spectrum is None:
+            return Fraction(sum(self.nums), self.den << self.n)
+        entries, scale = self._spectrum
+        s = entries[0][1] if entries and entries[0][0] == 0 else 0
+        return Fraction(s, scale)
 
     def _num_range(self) -> tuple[int, int]:
         """(min(nums), max(nums)), cached."""
@@ -244,12 +239,6 @@ class BoolFn:
             # the transform is linear, so the spectrum scales with the table
             entries, scale = self._spectrum
             out._spectrum = ([(a, s * p) for a, s in entries], scale * q)
-        if self._range is not None and p:
-            # out.nums are v * p / g, with g what from_ints divided out;
-            # a negative factor swaps min and max
-            g = self.den * q // out.den
-            lo, hi = (v * p // g for v in self._range)
-            out._range = (lo, hi) if p > 0 else (hi, lo)
         out._nonneg = self._nonneg and p > 0
         return out
 
@@ -343,7 +332,7 @@ def inverse_transform(c: FourierCoeffs) -> BoolFn:
 class Density(object):
     """Nonnegative function with mean exactly 1; wraps its BoolFn."""
 
-    __slots__ = ("fn", "_entropy_deficit")
+    __slots__ = ("fn",)
 
     def __init__(self, fn: BoolFn):
         # a nonnegativity proved where fn was made is carried in
@@ -353,7 +342,6 @@ class Density(object):
         if fn.mean() != 1:
             raise InputError("density must have mean exactly 1")
         self.fn = fn
-        self._entropy_deficit = None
 
     @property
     def n(self) -> int:
@@ -367,8 +355,6 @@ def entropy_deficit(q: Density) -> float:
     """n minus the Shannon entropy (bits) of the measure with density q.
     Floating point; absolute tolerance ENTROPY_TOLERANCE.  Uniform -> 0,
     a point mass -> n."""
-    if q._entropy_deficit is not None:
-        return q._entropy_deficit
     n = q.n
     scale = q.fn.den << n
     entropy = 0.0
@@ -376,9 +362,7 @@ def entropy_deficit(q: Density) -> float:
         if v:
             fp = v / scale  # correctly rounded, as float(Fraction(v, scale))
             entropy -= fp * math.log2(fp)
-    t = n - entropy
-    q._entropy_deficit = t
-    return t
+    return n - entropy
 
 
 @dataclass(frozen=True)

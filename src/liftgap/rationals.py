@@ -1,14 +1,15 @@
 """Exact rational plumbing: canonical "p/q" text form and exact
-comparison against irrational thresholds of the form r**(1/2) or
-r**(1/4).
+comparison against irrational thresholds of the form r**(1/4).
 
 fractions.Fraction is the rational type of the public API; values are
 always in lowest terms with positive denominator, which the text form
-relies on.  Comparisons against root thresholds are done on squares and
-fourth powers of numerators and denominators (threshold_power), so every
-verdict is an integer comparison.  int_vector is the one way a rational
-vector is scaled to integers (lp.linear_program scales a constraint
-row); json_value is the one mapping from report dataclasses to JSON.
+relies on.  A root threshold is carried as its fourth power, so a square
+root sqrt(r) is the QuarticThreshold of r**2.  Comparisons against it
+are done on fourth powers of numerators and denominators
+(threshold_power), so every verdict is an integer comparison.
+int_vector is the one way a rational vector is scaled to integers
+(lp.linear_program scales a constraint row); json_value is the one
+mapping from report dataclasses to JSON.
 """
 
 from __future__ import annotations
@@ -74,23 +75,6 @@ def parse_rational(text: str) -> Fraction:
         raise InputError(f"bad rational {text!r}: {exc}") from None
 
 
-class SqrtThreshold:
-    """The nonnegative real sqrt(square), for a rational radicand."""
-
-    __slots__ = ("square",)
-
-    def __init__(self, square: Fraction | int):
-        if square < 0:
-            raise InputError("negative radicand")
-        self.square = Fraction(square)
-
-    def __float__(self) -> float:
-        return float(self.square) ** 0.5
-
-    def __repr__(self) -> str:
-        return f"sqrt({self.square})"
-
-
 class QuarticThreshold:
     """The nonnegative real fourth_power**(1/4), for a rational radicand."""
 
@@ -108,18 +92,16 @@ class QuarticThreshold:
         return f"({self.fourth_power})**(1/4)"
 
 
-GammaLike = Union[Fraction, int, SqrtThreshold, QuarticThreshold]
+GammaLike = Union[Fraction, int, QuarticThreshold]
 
 
 def threshold_power(gamma: GammaLike) -> tuple[int, int, int]:
     """(k, N, D) with gamma**k == N / D and D > 0: k is 4 for a
-    QuarticThreshold, 2 for a SqrtThreshold and 1 for a rational
-    gamma >= 0.  For integers s and scale > 0, gamma < |s| / scale exactly
-    when D |s|**k > N scale**k, a comparison of integers."""
+    QuarticThreshold and 1 for a rational gamma >= 0.  For integers s and
+    scale > 0, gamma < |s| / scale exactly when D |s|**k > N scale**k, a
+    comparison of integers."""
     if isinstance(gamma, QuarticThreshold):
         r, k = gamma.fourth_power, 4
-    elif isinstance(gamma, SqrtThreshold):
-        r, k = gamma.square, 2
     elif gamma < 0:
         raise InputError("negative threshold")
     else:
@@ -140,8 +122,6 @@ def gamma_count_within(gamma: GammaLike, count: int, budget: Fraction) -> bool:
     if isinstance(gamma, QuarticThreshold):
         # count * sqrt(r) <= budget, squared
         return count * count * gamma.fourth_power <= budget * budget
-    if isinstance(gamma, SqrtThreshold):
-        return count * gamma.square <= budget
     return count * gamma * gamma <= budget
 
 
@@ -191,48 +171,30 @@ def best_upper_rational(is_below: Callable[[Fraction], bool],
             c, d = c + k * a, d + k * b
 
 
-def upper_approx(threshold: SqrtThreshold | QuarticThreshold,
+def upper_approx(threshold: QuarticThreshold,
                  max_denominator: int = 10 ** 6) -> Fraction:
     """Rational over-approximation of a root threshold: the smallest
     rational of denominator <= max_denominator strictly above it (or the
     exact value when the root is itself such a rational)."""
-    if isinstance(threshold, QuarticThreshold):
-        root = _exact_root(threshold.fourth_power, 4)
-        if root is not None:
-            return root
-        r = threshold.fourth_power
-        return best_upper_rational(lambda x: x ** 4 <= r, max_denominator)
-    root = _exact_root(threshold.square, 2)
+    r = threshold.fourth_power
+    root = _exact_root(r)
     if root is not None:
         return root
-    r = threshold.square
-    return best_upper_rational(lambda x: x * x <= r, max_denominator)
+    return best_upper_rational(lambda x: x ** 4 <= r, max_denominator)
 
 
-def _exact_root(r: Fraction, k: int) -> Fraction | None:
-    """r**(1/k) when exactly rational, else None."""
-    if r == 0:
-        return Fraction(0)
-    num = _iroot(r.numerator, k)
-    den = _iroot(r.denominator, k)
+def _exact_root(r: Fraction) -> Fraction | None:
+    """r**(1/4) when exactly rational, else None."""
+    num = _iroot(r.numerator)
+    den = _iroot(r.denominator)
     if num is None or den is None:
         return None
     return Fraction(num, den)
 
 
-def _iroot(n: int, k: int) -> int | None:
-    """The integer k-th root of n >= 0 when n is a perfect k-th power, else
-    None; integer arithmetic throughout, so any size of n works."""
-    if n < 2:
-        return n
-    if k == 2:
-        root = math.isqrt(n)
-    else:
-        # Newton's step from above decreases to floor(n ** (1/k))
-        root = 1 << -(-n.bit_length() // k)
-        while True:
-            step = ((k - 1) * root + n // root ** (k - 1)) // k
-            if step >= root:
-                break
-            root = step
-    return root if root ** k == n else None
+def _iroot(n: int) -> int | None:
+    """The integer fourth root of n >= 0 when n is a perfect fourth power,
+    else None.  isqrt(isqrt(n)) is floor(n ** (1/4)) in integer
+    arithmetic, so any size of n works."""
+    root = math.isqrt(math.isqrt(n))
+    return root if root ** 4 == n else None

@@ -11,10 +11,10 @@ mean is its spectrum's mask-0 entry, its nonnegativity is the fact
 slack_functions proved, and its smoothness is decided by the sum of its
 absolute spectrum entries whenever that sum is within 2^t.
 
-Thresholds of the form (16mtd/sqrt(n))^(1/2) are irrational; they are
-carried as fourth-power data and every comparison is made on fourth
-powers of integers, so all verdicts are exact.  The one floating-point
-output is the asymptotic error estimate epsilon(n).
+The thresholds gamma = (16mtd/sqrt(n))^(1/2) and n^(d/2) are irrational
+in general; both are carried as fourth-power data and every comparison
+is made on fourth powers of integers, so all verdicts are exact.  The
+one floating-point output is the asymptotic error estimate epsilon(n).
 
 The symmetric side: detect (junta coordinates + level) structure of a
 function, restrict along the antidiagonal x -> (x, -x), and observe the
@@ -47,8 +47,8 @@ from .caps import caps
 from .csp import Instance, dummy_extend, plant
 from .errors import (ExhaustedError, HypothesisError, InputError,
                      InternalError, ParameterError, SizeCapError)
-from .rationals import (QuarticThreshold, SqrtThreshold, gamma_below_abs,
-                        json_value, upper_approx)
+from .rationals import (QuarticThreshold, gamma_below_abs, json_value,
+                        upper_approx)
 from .sa import pe_apply, pe_plant, sa_value
 from .slack import (PolyhedralRelaxation, farkas_decompose, lp_value,
                     slack_functions, verify_decomposition)
@@ -58,6 +58,8 @@ log = logging.getLogger(__name__)
 # deterministic per-trial seed schedule (64-bit Weyl increment)
 _TRIAL_STRIDE = 0x9E3779B97F4A7C15
 _SEED_MOD = 1 << 64
+# restrictions main_inequality_experiment samples before giving up
+_MAX_TRIALS = 50
 
 # shared by the many records whose junta or error term is empty or zero,
 # so that reports kept in memory hold no copies of them
@@ -254,8 +256,7 @@ class MainInequalityReport:
 
 
 def main_inequality_experiment(rel: PolyhedralRelaxation, inst0: Instance,
-                               d: int, seed: int,
-                               max_trials: int = 50) -> MainInequalityReport:
+                               d: int, seed: int) -> MainInequalityReport:
     """Full pipeline on one relaxation/instance pair; asserts the value
     inequality lhs >= rhs with rhs a sound rational lower bound of the
     irrational expression (root terms over-approximated by the smallest
@@ -290,7 +291,7 @@ def main_inequality_experiment(rel: PolyhedralRelaxation, inst0: Instance,
     rough = sum(1 for dq in densities if dq is not None) - len(smooth_ids)
     smooth = [densities[i] for i in smooth_ids]
 
-    S, rep = find_good_restriction(smooth, n, m, d, t, max_trials, seed)
+    S, rep = find_good_restriction(smooth, n, m, d, t, _MAX_TRIALS, seed)
     s_sorted = tuple(sorted(S))
     inst_planted = plant(inst0, s_sorted, n)
     sa_base, pe = sa_value(inst0, d)
@@ -319,7 +320,7 @@ def main_inequality_experiment(rel: PolyhedralRelaxation, inst0: Instance,
 
     gamma_upper = upper_approx(gamma)
     # exact, n^(d/2), when d is even
-    nd_half = upper_approx(SqrtThreshold(n ** d))
+    nd_half = upper_approx(QuarticThreshold(n ** (2 * d)))
     rhs = -(mc * gamma_upper + mc * nd_half / (1 << t))
     holds = lhs >= rhs
     report = MainInequalityReport(

@@ -314,36 +314,32 @@ def _edge_rows(n: int, r: int):
     dropped; the row's label is I{t_vars}:{pattern}*{name}."""
     pairs = _all_pairs(n)
     facets = _metric_facets(n)
-    for size in range(r + 1):
-        for t in itertools.combinations(range(len(pairs)), size):
-            t_vars = tuple(pairs[p] for p in t)
-            bits = [1 << p for p in t]
-            for pattern in range(1 << size):
-                ind = _indicator_terms(bits, pattern)
-                for name, ell in facets:
-                    poly: dict[int, int] = {}
-                    for m1, c1 in ind:
-                        for m2, c2 in ell:
-                            m = m1 | m2
-                            poly[m] = poly.get(m, 0) + c1 * c2
-                    yield t_vars, pattern, name, {m: c for m, c in poly.items() if c}
+    for t in _subsets_upto(len(pairs), r):
+        ps = [p for p in range(len(pairs)) if t >> p & 1]
+        t_vars = tuple(pairs[p] for p in ps)
+        bits = [1 << p for p in ps]
+        for pattern in range(1 << len(ps)):
+            ind = _indicator_terms(bits, pattern)
+            for name, ell in facets:
+                poly: dict[int, int] = {}
+                for m1, c1 in ind:
+                    for m2, c2 in ell:
+                        m = m1 | m2
+                        poly[m] = poly.get(m, 0) + c1 * c2
+                yield t_vars, pattern, name, {m: c for m, c in poly.items() if c}
 
 
 def edge_monomials(n: int, r: int) -> tuple[Monomial, ...]:
     """LP variable order: monomials of degree 1..r+1 over all pairs, by
     (degree, lexicographic)."""
     pairs = _all_pairs(n)
-    out: list[Monomial] = []
-    for size in range(1, r + 2):
-        out.extend(itertools.combinations(pairs, size))
-    return tuple(out)
+    return tuple(tuple(e for p, e in enumerate(pairs) if m >> p & 1)
+                 for m in _monomial_masks(n, r))
 
 
 def _monomial_masks(n: int, r: int) -> tuple[int, ...]:
     """edge_monomials(n, r) as masks over the pair bits, in the same order."""
-    num_pairs = n * (n - 1) // 2
-    return tuple(sum(1 << p for p in combo) for size in range(1, r + 2)
-                 for combo in itertools.combinations(range(num_pairs), size))
+    return sa_variable_masks(n * (n - 1) // 2, r + 1)
 
 
 def _check_edge_caps(n: int, r: int) -> None:

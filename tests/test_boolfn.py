@@ -12,7 +12,7 @@ from liftgap.boolfn import (BoolFn, Density, ENTROPY_TOLERANCE, _cache_spectrum,
                             entropy_deficit, fourier_transform,
                             integer_spectrum, inverse_transform,
                             junta_support, mask_of, vars_of)
-from liftgap.rationals import QuarticThreshold, SqrtThreshold
+from liftgap.rationals import QuarticThreshold
 
 F = Fraction
 
@@ -45,16 +45,15 @@ def test_character_tables_and_cached_spectra(n):
         assert f.mean() == fresh.mean() == (1 if alpha == 0 else 0)
 
 
-def test_scaled_carries_the_range():
+def test_scaled_scales_the_sup_norm():
     f = BoolFn.from_ints(3, [3, -6, 0, 9, 12, 0, -3, 6], 4)
     assert (f.nums, f.den) == ((3, -6, 0, 9, 12, 0, -3, 6), 4)
     assert f.sup_norm() == 3  # caches (min, max)
     for r in (F(2, 3), F(-5), 1 / f.mean(), F(-1, 12)):
         g = f.scaled(r)
-        assert g._range is not None
         assert g._num_range() == (min(g.nums), max(g.nums)), r
         assert g.sup_norm() == max(abs(v) for v in g.values) == 3 * abs(r)
-    assert f.scaled(0)._range is None
+    assert f.scaled(0).sup_norm() == 0
 
 
 def _deferred(n, nums, den):
@@ -260,11 +259,14 @@ def test_chang_failure_reports_violations():
 
 def test_chang_threshold_is_strict():
     # the singleton coefficients of majority3 are exactly 1/2, gamma
-    # given as a rational, a square root and a fourth root
+    # given as a rational, a square root (carried as the fourth root of
+    # its square) and a fourth root
     q = majority3_density()
-    for gamma in (F(1, 2), SqrtThreshold(F(1, 4)), QuarticThreshold(F(1, 16))):
+    for gamma in (F(1, 2), QuarticThreshold(F(1, 4) ** 2),
+                  QuarticThreshold(F(1, 16))):
         assert chang_junta(q, 1, 1, gamma).junta == frozenset()
-    for gamma in (F(1, 2) - F(1, 10 ** 9), SqrtThreshold(F(1, 4) - F(1, 10 ** 9)),
+    for gamma in (F(1, 2) - F(1, 10 ** 9),
+                  QuarticThreshold((F(1, 4) - F(1, 10 ** 9)) ** 2),
                   QuarticThreshold(F(1, 16) - F(1, 10 ** 9))):
         assert chang_junta(q, 1, 1, gamma).junta == {1, 2, 3}
 
