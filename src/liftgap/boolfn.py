@@ -91,6 +91,17 @@ def vars_of(mask: int) -> frozenset[int]:
     return frozenset(out)
 
 
+def spread(mask: int, positions: Sequence[int]) -> int:
+    """The mask with bit positions[i] - 1 set for each set bit i of mask:
+    a subset of [len(positions)] moved onto the 1-based positions."""
+    out = 0
+    for p in positions:
+        if mask & 1:
+            out |= 1 << (p - 1)
+        mask >>= 1
+    return out
+
+
 class BoolFn:
     """Function {-1,1}^n -> Q as the table nums[i] / den; immutable by
     convention.  A deferred table (see `deferred`) builds nums and den on
@@ -323,7 +334,7 @@ def inverse_transform(c: FourierCoeffs) -> BoolFn:
     ints, denom = int_vector(list(c.coeffs.values()))
     dense = [0] * (1 << c.n)
     for a, v in zip(c.coeffs, ints):
-        if a >= 1 << c.n:
+        if not 0 <= a < 1 << c.n:
             raise InputError("coefficient mask out of range")
         dense[a] = v
     return BoolFn.from_ints(c.n, _butterfly(dense), denom)

@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .boolfn import BoolFn, FourierCoeffs, fourier_transform
+from .boolfn import BoolFn, FourierCoeffs, fourier_transform, spread
 from .caps import caps
 from .errors import InputError, ParseError, SizeCapError
 
@@ -138,14 +138,7 @@ def instance_polynomial(inst: Instance) -> FourierCoeffs:
     pred_polys = [_predicate_poly(p) for p in inst.predicates]
     for c in inst.constraints:
         for local_mask, coeff in pred_polys[c.predicate_id].items():
-            g = 0
-            lm = local_mask
-            j = 0
-            while lm:
-                if lm & 1:
-                    g |= 1 << (c.vars[j] - 1)
-                lm >>= 1
-                j += 1
+            g = spread(local_mask, c.vars)
             acc[g] = acc.get(g, Fraction(0)) + coeff
     out = {a: v / m for a, v in acc.items() if v}
     return FourierCoeffs(inst.n, out)

@@ -143,15 +143,13 @@ def linear_program(num_vars: int,
     zeros dropped.  LinearProgram validates the shape."""
     rows = []
     for coeffs, relation, rhs in constraints:
-        rhs = Fraction(rhs)
         terms = [(j, a) for j, a in ((j, Fraction(v)) for j, v in coeffs.items())
                  if a]
         # a non-integer variable sorts first, for LinearProgram to reject
         terms.sort(key=lambda t: t[0] if type(t[0]) is int else -1)
-        scale = lcm(rhs.denominator, *(a.denominator for _, a in terms))
+        (rhs, *ints), scale = int_vector([Fraction(rhs)] + [a for _, a in terms])
         rows.append(LinearConstraint(
-            tuple((j, a.numerator * (scale // a.denominator)) for j, a in terms),
-            relation, rhs.numerator * (scale // rhs.denominator), num_vars,
+            tuple(zip([j for j, _ in terms], ints)), relation, rhs, num_vars,
             scale))
     return LinearProgram(num_vars, tuple(rows),
                          tuple(Fraction(v) for v in objective), sense)
@@ -207,11 +205,9 @@ def _solve_standard(columns, b, costs, row_scale):
 
     # nonnegative right-hand sides over q (remember the flips)
     sign = [-1 if v < 0 else 1 for v in b]
-    q = lcm(*(v.denominator for v in b))
-    x_b = [abs(v.numerator) * (q // v.denominator) for v in b]
+    x_b, q = int_vector([abs(v) for v in b])
     cols = [[(r, s * sign[r] * v) for r, v in col] for col, s in columns]
-    cost_scale = lcm(*(c.denominator for c in costs))
-    c_int = [c.numerator * (cost_scale // c.denominator) for c in costs]
+    c_int, cost_scale = int_vector(costs)
 
     row_of = list(range(m))        # reduced row -> original row
     adj = [[int(i == j) for j in range(m)] for i in range(m)]

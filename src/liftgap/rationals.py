@@ -8,8 +8,9 @@ root sqrt(r) is the QuarticThreshold of r**2.  Comparisons against it
 are done on fourth powers of numerators and denominators
 (threshold_power), so every verdict is an integer comparison.
 int_vector is the one way a rational vector is scaled to integers
-(lp.linear_program scales a constraint row); json_value is the one
-mapping from report dataclasses to JSON.
+(lp.linear_program scales a constraint row, the simplex core its
+right-hand side and costs); json_value is the one mapping from report
+dataclasses to JSON.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from typing import Callable, Sequence, Union
 
 from .errors import InputError
 
+_MAX_DENOMINATOR = 10 ** 6  # upper_approx's denominator cap
 
 def format_rational(x: Fraction | int) -> str:
     """Canonical text: 'p/q' in lowest terms, integers without '/1',
@@ -171,16 +173,15 @@ def best_upper_rational(is_below: Callable[[Fraction], bool],
             c, d = c + k * a, d + k * b
 
 
-def upper_approx(threshold: QuarticThreshold,
-                 max_denominator: int = 10 ** 6) -> Fraction:
+def upper_approx(threshold: QuarticThreshold) -> Fraction:
     """Rational over-approximation of a root threshold: the smallest
-    rational of denominator <= max_denominator strictly above it (or the
+    rational of denominator <= _MAX_DENOMINATOR strictly above it (or the
     exact value when the root is itself such a rational)."""
     r = threshold.fourth_power
     root = _exact_root(r)
     if root is not None:
         return root
-    return best_upper_rational(lambda x: x ** 4 <= r, max_denominator)
+    return best_upper_rational(lambda x: x ** 4 <= r, _MAX_DENOMINATOR)
 
 
 def _exact_root(r: Fraction) -> Fraction | None:

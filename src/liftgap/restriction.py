@@ -31,7 +31,6 @@ hypothesis, not a bug.
 
 from __future__ import annotations
 
-import itertools
 import json
 import logging
 import math
@@ -42,14 +41,14 @@ from fractions import Fraction
 from typing import AbstractSet, Sequence
 
 from .boolfn import (BoolFn, Density, chang_junta, fourier_transform,
-                     integer_spectrum, junta_support, mask_of)
+                     integer_spectrum, junta_support, mask_of, vars_of)
 from .caps import caps
 from .csp import Instance, dummy_extend, plant
 from .errors import (ExhaustedError, HypothesisError, InputError,
                      InternalError, ParameterError, SizeCapError)
 from .rationals import (QuarticThreshold, gamma_below_abs, json_value,
                         upper_approx)
-from .sa import pe_apply, pe_plant, sa_value
+from .sa import pe_apply, pe_plant, sa_value, sa_variable_masks
 from .slack import (PolyhedralRelaxation, farkas_decompose, lp_value,
                     slack_functions, verify_decomposition)
 
@@ -367,19 +366,17 @@ def detect_symmetric_structure(f: BoolFn, d_max: int) -> SymmetricStructure:
             f"d_max = {d_max} refused: small symmetric families force this "
             f"shape only for d_max < n/4")
     levels = [n - 2 * x.bit_count() for x in range(1 << n)]
-    for k in range(d_max + 1):
-        for combo in itertools.combinations(range(1, n + 1), k):
-            j_mask = mask_of(combo, n) if combo else 0
-            table: dict[tuple[int, int], int] = {}
-            ok = True
-            for x, v in enumerate(f.nums):
-                prev = table.setdefault((x & j_mask, levels[x]), v)
-                if prev != v:
-                    ok = False
-                    break
-            if ok:
-                return SymmetricStructure(True, frozenset(combo), {
-                    key: Fraction(v, f.den) for key, v in table.items()})
+    for j_mask in (0,) + sa_variable_masks(n, d_max):
+        table: dict[tuple[int, int], int] = {}
+        ok = True
+        for x, v in enumerate(f.nums):
+            prev = table.setdefault((x & j_mask, levels[x]), v)
+            if prev != v:
+                ok = False
+                break
+        if ok:
+            return SymmetricStructure(True, vars_of(j_mask), {
+                key: Fraction(v, f.den) for key, v in table.items()})
     return SymmetricStructure(False, frozenset(), None)
 
 

@@ -10,7 +10,8 @@ The edge-variable variant for Max Cut, over 0/1 variables y_{i,j} with
 the metric facets, lives here too, together with the two exact
 translation maps between vertex functionals and edge functionals.  One
 enumerator expands its rows, over monomial bitmasks with integer
-coefficients, for the LP builder and the functional check alike.
+coefficients, for the LP builder and the functional check alike, and
+the translation maps expand their products as the rows do, by doubling.
 """
 
 from __future__ import annotations
@@ -22,7 +23,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .boolfn import BoolFn, FourierCoeffs, fourier_transform, inverse_transform
+from .boolfn import (BoolFn, FourierCoeffs, fourier_transform,
+                     inverse_transform, spread, vars_of)
 from .caps import caps
 from .csp import Instance, instance_polynomial, is_maxcut
 from .errors import (HypothesisError, InputError, InternalError,
@@ -83,7 +85,8 @@ def pe_apply(pe: PseudoExpectation, f: BoolFn | FourierCoeffs) -> Fraction:
 
 
 def _subsets_upto(n: int, d: int):
-    """Subset bitmasks of [n] with size <= d, sorted by (size, mask)."""
+    """Subset bitmasks of [n] with size <= d, by size and then by the
+    lexicographic order of their index tuples: 9 = {0, 3} before 6."""
     for size in range(d + 1):
         for combo in itertools.combinations(range(n), size):
             yield sum(1 << i for i in combo)
@@ -91,9 +94,9 @@ def _subsets_upto(n: int, d: int):
 
 def _indicators(n: int, d: int):
     """The partial-assignment indicators of width <= d.  For every subset
-    S of [n] with |S| <= d, by (size, mask), and then every minus-pattern
-    a (the submask of S set to -1) in increasing order, yields
-    (S, a, terms), where terms lists (alpha, chi_alpha(a)) for every
+    S of [n] with |S| <= d, in _subsets_upto order, and then every
+    minus-pattern a (the submask of S set to -1) in increasing order,
+    yields (S, a, terms), where terms lists (alpha, chi_alpha(a)) for every
     alpha subset of S: the indicator of x_S = a is
     2^-|S| sum_alpha chi_alpha(a) chi_alpha."""
     for s_mask in _subsets_upto(n, d):
@@ -107,7 +110,7 @@ def _indicators(n: int, d: int):
 
 
 def sa_variable_masks(n: int, d: int) -> tuple[int, ...]:
-    """LP variable order: nonempty subsets of size <= d, by (size, mask)."""
+    """LP variable order: the nonempty masks of _subsets_upto(n, d)."""
     return tuple(m for m in _subsets_upto(n, d) if m)
 
 
@@ -223,18 +226,8 @@ def pe_plant(pe: PseudoExpectation, positions: Sequence[int],
         raise InputError("positions must be distinct")
     if not all(1 <= p <= n for p in positions):
         raise InputError(f"positions must lie in [1, {n}]")
-    moments: dict[int, Fraction] = {}
-    for a, v in pe.moments.items():
-        g = 0
-        i = 0
-        aa = a
-        while aa:
-            if aa & 1:
-                g |= 1 << (positions[i] - 1)
-            aa >>= 1
-            i += 1
-        moments[g] = v
-    return PseudoExpectation(n, pe.d, moments)
+    return PseudoExpectation(n, pe.d, {spread(a, positions): v
+                                       for a, v in pe.moments.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -426,12 +419,6 @@ def check_edge_functional(ef: EdgeFunctional) -> EdgeLefReport:
         None if min_val is None else Fraction(min_val, scale)))
 
 
-def _cut_poly(i: int, j: int) -> dict[int, Fraction]:
-    """(1 - x_i x_j) / 2 as a mask polynomial."""
-    pair = (1 << (i - 1)) | (1 << (j - 1))
-    return {0: Fraction(1, 2), pair: Fraction(-1, 2)}
-
-
 def vertex_to_edge(pe: PseudoExpectation) -> EdgeFunctional:
     """Push a locality-k functional (k even, k >= 6) through the cut map
     x -> y with y_{i,j} = (1 - x_i x_j)/2, landing at edge level
@@ -445,18 +432,13 @@ def vertex_to_edge(pe: PseudoExpectation) -> EdgeFunctional:
     n = pe.n
     moments: dict[Monomial, Fraction] = {(): Fraction(1)}
     for mono in edge_monomials(n, r):
-        poly: dict[int, Fraction] = {0: Fraction(1)}
+        # 2^|mono| times the product of the (1 - x_i x_j) / 2
+        terms = [(0, 1)]
         for (i, j) in mono:
-            cut = _cut_poly(i, j)
-            nxt: dict[int, Fraction] = {}
-            for a, va in poly.items():
-                for b, vb in cut.items():
-                    key = a ^ b
-                    prev = nxt.get(key)
-                    prod = va * vb
-                    nxt[key] = prod if prev is None else prev + prod
-            poly = nxt
-        moments[mono] = pe_apply(pe, FourierCoeffs(n, poly))
+            pair = (1 << (i - 1)) | (1 << (j - 1))
+            terms += [(a ^ pair, -s) for a, s in terms]
+        moments[mono] = Fraction(sum(s * pe.moment(a) for a, s in terms),
+                                 1 << len(mono))
     ef = EdgeFunctional(n, r, moments)
     report = check_edge_functional(ef)
     if not report.ok:
@@ -479,13 +461,11 @@ def edge_to_vertex(ef: EdgeFunctional) -> PseudoExpectation:
     n = ef.n
     moments: dict[int, Fraction] = {}
     for a in _subsets_upto(n, r):
-        others = [i for i in range(1, n + 1) if a >> (i - 1) & 1 and i != 1]
-        total = Fraction(0)
-        for pick in range(1 << len(others)):
-            chosen = [others[j] for j in range(len(others)) if pick >> j & 1]
-            mono = tuple(sorted((1, i) for i in chosen))
-            total += Fraction(-2) ** len(chosen) * ef.moment(mono)
-        moments[a] = total
+        # the product of the 1 - 2 y_{1,i} over the i != 1 in a
+        terms = [((), 1)]
+        for i in sorted(vars_of(a & ~1)):
+            terms += [(m + ((1, i),), -2 * s) for m, s in terms]
+        moments[a] = sum((s * ef.moment(m) for m, s in terms), Fraction(0))
     pe = PseudoExpectation(n, r, moments)
     if r >= 2:
         _verify_objective_identity(ef, pe)

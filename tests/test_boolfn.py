@@ -7,11 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from liftgap.errors import InputError, ParameterError, SizeCapError
-from liftgap.boolfn import (BoolFn, Density, ENTROPY_TOLERANCE, _cache_spectrum,
-                            boolfn_from_json, boolfn_to_json, chang_junta,
-                            entropy_deficit, fourier_transform,
+from liftgap.boolfn import (BoolFn, Density, ENTROPY_TOLERANCE, FourierCoeffs,
+                            _cache_spectrum, boolfn_from_json, boolfn_to_json,
+                            chang_junta, entropy_deficit, fourier_transform,
                             integer_spectrum, inverse_transform,
-                            junta_support, mask_of, vars_of)
+                            junta_support, mask_of, spread, vars_of)
 from liftgap.rationals import QuarticThreshold
 
 F = Fraction
@@ -174,6 +174,23 @@ def test_roundtrip_and_parseval(n, data):
     assert inverse_transform(coeffs) == f
     energy = sum(v * v for v in f.values) / (1 << n)
     assert sum(c * c for c in coeffs.coeffs.values()) == energy
+
+
+def test_inverse_transform_rejects_masks_out_of_range():
+    for mask in (-1, 1 << 2):
+        with pytest.raises(InputError, match="coefficient mask out of range"):
+            inverse_transform(FourierCoeffs(2, {mask: F(1)}))
+
+
+def test_spread_moves_a_mask_onto_positions():
+    assert spread(0, (3, 1)) == 0
+    assert spread(0b01, (3, 1)) == 0b100
+    assert spread(0b11, (3, 1)) == 0b101
+    assert spread(0b101, (2, 7, 5)) == mask_of((2, 5), 7)
+    for mask in range(1 << 4):
+        positions = (6, 2, 9, 4)
+        assert vars_of(spread(mask, positions)) == {
+            positions[i - 1] for i in vars_of(mask)}
 
 
 def test_fraction_and_integer_constructions_agree():

@@ -12,8 +12,9 @@ from liftgap.csp import cycle
 from liftgap.errors import InputError, InternalError, SizeCapError
 from liftgap.lp import (INFEASIBLE, OPTIMAL, UNBOUNDED, LinearConstraint,
                         LinearProgram, LPSolution, _check_infeasible,
-                        _check_optimal, _solve_standard, farkas_feasibility,
-                        linear_program, lp_nonzeros, solve_lp)
+                        _check_optimal, _solve_max_dual, _solve_max_primal,
+                        _solve_standard, farkas_feasibility, linear_program,
+                        lp_nonzeros, solve_lp)
 from liftgap.sa import edge_sa_solve, sa_value
 from liftgap.slack import farkas_decompose, universal
 
@@ -198,6 +199,29 @@ def test_wide_lp_uses_same_contract():
     sol = solve_lp(lp)
     assert sol.status == OPTIMAL
     assert sol.value == F(3, 7)
+
+
+def test_wide_lp_falls_back_to_the_primal_path_when_unbounded():
+    # max x  s.t.  x >= 0, x >= 1, 2x >= 1: no y >= 0 has -y.A = 1, so the
+    # dual path gives up, and the direct path finds the ray
+    lp = linear_program(1, [({0: 1}, ">=", 0), ({0: 1}, ">=", 1),
+                            ({0: 2}, ">=", 1)], (1,))
+    assert _solve_max_dual(lp) is None
+    sol = solve_lp(lp)
+    assert sol.status == UNBOUNDED == _solve_max_primal(lp).status
+
+
+def test_wide_lp_falls_back_to_the_primal_path_when_infeasible():
+    # max x  s.t.  y >= 1, y <= 0 and four more rows on y alone: the rows
+    # contradict each other (primal infeasible), and x appears in none of
+    # them while the objective needs it (dual infeasible)
+    rows = [({1: 1}, ">=", 1), ({1: 1}, "<=", 0), ({1: 2}, ">=", 1),
+            ({1: 1}, "<=", 3), ({1: -1}, "<=", 5), ({1: 3}, ">=", -2)]
+    lp = linear_program(2, rows, (1, 0))
+    assert _solve_max_dual(lp) is None
+    sol = solve_lp(lp)
+    assert sol.status == INFEASIBLE == _solve_max_primal(lp).status
+    _check_infeasible(lp, sol)
 
 
 @pytest.mark.parametrize("call, pivots", [

@@ -158,6 +158,6 @@ def test_upper_approx_radicands_beyond_float_range():
 
 def test_upper_approx_is_tightly_above():
     gamma = QuarticThreshold(Fraction(2))
-    over = upper_approx(gamma, max_denominator=10 ** 6)
+    over = upper_approx(gamma)
     assert over ** 4 > 2
     assert float(over) - 2 ** 0.25 < 1e-10

@@ -222,6 +222,40 @@ def test_detect_character_pair_fails_at_dmax_one():
     assert not st.found
 
 
+def _detect_reference(f: BoolFn, d_max: int):
+    """The search as an itertools.combinations walk: increasing size, then
+    lexicographic index tuples."""
+    levels = [f.n - 2 * x.bit_count() for x in range(1 << f.n)]
+    for k in range(d_max + 1):
+        for combo in itertools.combinations(range(1, f.n + 1), k):
+            j_mask = mask_of(combo, f.n) if combo else 0
+            table = {}
+            if all(table.setdefault((x & j_mask, levels[x]), v) == v
+                   for x, v in enumerate(f.values)):
+                return frozenset(combo), table
+    return frozenset(), None
+
+
+def test_detect_matches_the_combinations_walk():
+    rng = random.Random(11)
+    n = 9
+    for t in range(40):
+        if t % 2:
+            values = [rng.randint(-2, 2) for _ in range(1 << n)]
+        else:
+            # a junta on t % 3 coordinates plus a function of the level
+            junta = rng.sample(range(n), t % 3)
+            on_j = [rng.randint(-3, 3) for _ in range(1 << n)]
+            on_level = [rng.randint(-3, 3) for _ in range(n + 1)]
+            values = [on_j[sum(1 << j for j in junta if x >> j & 1)]
+                      + on_level[x.bit_count()] for x in range(1 << n)]
+        f = BoolFn(n, [F(v, 3) for v in values])
+        st = detect_symmetric_structure(f, 2)
+        junta, table = _detect_reference(f, 2)
+        assert (st.junta, st.table) == (junta, table)
+        assert st.found == (table is not None)
+
+
 def test_detect_refuses_large_dmax():
     with pytest.raises(ParameterError):
         detect_symmetric_structure(BoolFn.constant(8, 0), 2)

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import json
 import random
@@ -5,14 +6,15 @@ from fractions import Fraction
 
 import pytest
 
-from liftgap.boolfn import BoolFn, FourierCoeffs
-from liftgap.csp import (brute_force_opt, cycle, graph_instance,
-                         instance_polynomial, plant, random_3sat,
-                         random_graph)
+from liftgap.boolfn import BoolFn, FourierCoeffs, vars_of
+from liftgap.csp import (_predicate_poly, brute_force_opt, complete, cycle,
+                         graph_instance, instance_polynomial, plant,
+                         random_3sat, random_graph)
 from liftgap.errors import HypothesisError, InputError, ParameterError
 from liftgap.lp import linear_program
 from liftgap.sa import (EdgeFunctional, PseudoExpectation, _all_pairs,
-                        _edge_rows, _verify_objective_identity,
+                        _edge_rows, _indicators, _subsets_upto,
+                        _verify_objective_identity,
                         build_edge_sa_lp, build_sa_lp, check_edge_functional,
                         check_lef, edge_functional_from_json,
                         edge_functional_to_json, edge_monomials,
@@ -430,3 +432,120 @@ def test_objective_identity_matches_tuple_expansion(n):
         assert got == _outcome(_oracle_identity, ef)
         seen.add(got and got[1].split()[0])
     assert seen == {None, "objective", "triple", "moment"}
+
+
+def test_subset_order_is_size_then_lexicographic():
+    # 9 = {0, 3} comes before 6 = {1, 2}: the order is not (size, mask)
+    assert sa_variable_masks(4, 2) == (1, 2, 4, 8, 3, 5, 9, 6, 10, 12)
+    for n, d in ((5, 3), (7, 2), (3, 5)):
+        want = sorted((m for m in range(1 << n) if m.bit_count() <= d),
+                      key=lambda m: (m.bit_count(), sorted(vars_of(m))))
+        assert list(_subsets_upto(n, d)) == want
+        assert sa_variable_masks(n, d) == tuple(want[1:])
+        assert [s for s, minus, _ in _indicators(n, d) if not minus] == want
+
+
+# --- planting and the translation maps against the hand-written routines
+# they replaced: a bit loop, a Fraction dict convolution and a pick loop ---
+
+
+def _planted_mask_reference(a: int, positions) -> int:
+    g = 0
+    i = 0
+    while a:
+        if a & 1:
+            g |= 1 << (positions[i] - 1)
+        a >>= 1
+        i += 1
+    return g
+
+
+def _instance_polynomial_reference(inst) -> dict[int, F]:
+    acc: dict[int, F] = {}
+    for c in inst.constraints:
+        pred = inst.predicates[c.predicate_id]
+        for local_mask, coeff in _predicate_poly(pred).items():
+            g = _planted_mask_reference(local_mask, c.vars)
+            acc[g] = acc.get(g, F(0)) + coeff
+    m = len(inst.constraints)
+    return {a: v / m for a, v in acc.items() if v}
+
+
+def _vertex_to_edge_reference(pe: PseudoExpectation) -> dict:
+    moments = {(): F(1)}
+    for mono in edge_monomials(pe.n, pe.d // 2 - 2):
+        poly = {0: F(1)}
+        for i, j in mono:
+            pair = (1 << (i - 1)) | (1 << (j - 1))
+            cut = {0: F(1, 2), pair: F(-1, 2)}
+            nxt: dict[int, F] = {}
+            for a, va in poly.items():
+                for b, vb in cut.items():
+                    nxt[a ^ b] = nxt.get(a ^ b, F(0)) + va * vb
+            poly = nxt
+        moments[mono] = pe_apply(pe, FourierCoeffs(pe.n, poly))
+    return moments
+
+
+def _edge_to_vertex_reference(ef: EdgeFunctional) -> dict[int, F]:
+    moments = {}
+    for a in (0,) + sa_variable_masks(ef.n, ef.r):
+        others = [i for i in range(2, ef.n + 1) if a >> (i - 1) & 1]
+        total = F(0)
+        for pick in range(1 << len(others)):
+            chosen = [others[j] for j in range(len(others)) if pick >> j & 1]
+            mono = tuple((1, i) for i in chosen)
+            total += F(-2) ** len(chosen) * ef.moment(mono)
+        moments[a] = total
+    return moments
+
+
+def test_instance_polynomial_matches_bit_loop_reference():
+    for seed in range(6):
+        for inst in (random_3sat(10, 40, seed), random_graph(7, F(1, 2), seed)):
+            got = instance_polynomial(inst).coeffs
+            assert list(got.items()) == list(
+                _instance_polynomial_reference(inst).items())
+
+
+def test_pe_plant_matches_bit_loop_reference():
+    rng = random.Random(3)
+    for inst, n in ((cycle(3), 6), (cycle(4), 8), (random_3sat(5, 8, 2), 9)):
+        pe = sa_value(inst, inst.max_arity())[1]
+        positions = rng.sample(range(1, n + 1), inst.n)
+        want = {_planted_mask_reference(a, positions): v
+                for a, v in pe.moments.items()}
+        assert list(pe_plant(pe, positions, n).moments.items()) == list(
+            want.items())
+
+
+@functools.lru_cache(maxsize=None)
+def _level_six_functionals() -> tuple[PseudoExpectation, ...]:
+    """sa_value's level-6 functionals of C6, K6 and G(6, 1/2; 4), each
+    also read at locality 8, and two point masses."""
+    out = [point_pe(6, 6, 0b010110), point_pe(6, 8, 0b100001)]
+    for inst in (cycle(6), complete(6), random_graph(6, F(1, 2), 4)):
+        pe = sa_value(inst, 6)[1]
+        out += [pe, PseudoExpectation(6, 8, pe.moments)]
+    return tuple(out)
+
+
+def test_vertex_to_edge_matches_convolution_reference():
+    for pe in _level_six_functionals():
+        ef = vertex_to_edge(pe)
+        assert list(ef.moments.items()) == list(
+            _vertex_to_edge_reference(pe).items())
+        assert all(type(v) is F for v in ef.moments.values())
+
+
+def test_edge_to_vertex_matches_pick_loop_reference():
+    efs = [vertex_to_edge(pe) for pe in _level_six_functionals()]
+    efs += [edge_sa_solve(inst, 2)[1] for inst in (
+        cycle(3), cycle(4), complete(4), graph_instance(4, [(1, 2), (2, 3)]))]
+    efs.append(edge_functional_from_cut(5, 2, 0b01100))
+    for ef in efs:
+        pe = edge_to_vertex(ef)
+        assert list(pe.moments.items()) == list(
+            _edge_to_vertex_reference(ef).items())
+        assert all(type(v) is F for v in pe.moments.values())
+
