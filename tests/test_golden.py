@@ -137,10 +137,10 @@ def _cli(argv: list[str], inputs: dict[str, str] | None = None,
     return "\n".join(texts)
 
 
-def _symmetric_text(inst, c: F, rel=None) -> str:
+def _symmetric_text(inst, c: F, rel=None, d: int = 2) -> str:
     rel = universal(6, 2) if rel is None else rel
     return symmetric_report_to_json(
-        symmetric_contradiction_check(inst, rel, c, 2))
+        symmetric_contradiction_check(inst, rel, c, d))
 
 
 def _restrict_family() -> str:
@@ -280,6 +280,15 @@ OUTPUTS = {
         cycle(3), F(101, 100), universal(6, 3)),
     "symmetric P3 metric(6) c=99/100": lambda: _symmetric_text(
         _P3, F(99, 100), metric_maxcut(6)),
+    # a larger family, and an instance whose own variables have no symmetry
+    "symmetric C4 universal(8,2) c=99/100": lambda: _symmetric_text(
+        cycle(4), F(99, 100), universal(8, 2)),
+    "symmetric C4 universal(8,2) c=101/100": lambda: _symmetric_text(
+        cycle(4), F(101, 100), universal(8, 2)),
+    "symmetric 3sat(3,5;1) universal(6,3) d=3 c=99/100": lambda: _symmetric_text(
+        random_3sat(3, 5, 1), F(99, 100), universal(6, 3), 3),
+    "symmetric 3sat(3,5;1) universal(6,3) d=3 c=101/100": lambda: _symmetric_text(
+        random_3sat(3, 5, 1), F(101, 100), universal(6, 3), 3),
     "restriction_report(failing, no seed)": _failing_restriction_text,
     "main_report(universal(12,2),C3,d=2,seed=1)": lambda: main_report_to_json(
         main_inequality_experiment(universal(12, 2), cycle(3), 2, 1)),
@@ -406,10 +415,14 @@ GOLDEN = {
     'slack_functions(universal(7,3))': '284f9baf1cf9ca616cd94a716199c8312c36a31f14b7e7bb29575d1db47bf575',
     'solve_lp(contradictory bounds)': 'ecf97d0a618fbff043a2c4f8d5a3afe122f76cb92b8872b4da7f1f18f53817c6',
     'solve_lp(minimize)': '2ea5176509409c2a495d38c1c32ad3d6455b8201bc176574e774f8f15e1f9285',
+    'symmetric 3sat(3,5;1) universal(6,3) d=3 c=101/100': 'b685afa88b181b56a1c9a840f96262999b44ac373a62d801a8d8871756b8d2c2',
+    'symmetric 3sat(3,5;1) universal(6,3) d=3 c=99/100': '133649e97fe01c3fc4f7b51c2a27403f650b56b07289efc679883f3928badbcb',
     'symmetric C3 metric(6) c=101/100': 'eb41a609191b6e9c75a6c9a892ec2acda1553eb3d5947d04dfe1ed69f8a4a850',
     'symmetric C3 universal(6,2) c=101/100': 'd6ee77d99226c33e1a91ceaa8ad8ec13edf07927037401cdd31c84c48be62c65',
     'symmetric C3 universal(6,2) c=99/100': 'b3028de54dfa2787625de9a62b50da0eb8a9c95570c810479fbd7421184a0149',
     'symmetric C3 universal(6,3) c=101/100': '244871c8c80699f7de648e62c32c5b2af0c6d0e28b2f6eb4fad1587b1223271b',
+    'symmetric C4 universal(8,2) c=101/100': '28dba9a522fc5ca7096932c9522b7474e8a8d0a8b379a87f8822e66c32a191d9',
+    'symmetric C4 universal(8,2) c=99/100': '066d458ca7130e677e0561d0f14e9bb2d0c3948f80964269c916989c3d0132c0',
     'symmetric P3 metric(6) c=99/100': 'cc82ea9b3dcc668730373b0970918ce5ea4cb411ae66cbba035b2715f77e3063',
     'symmetric P3 universal(6,2) c=101/100': 'd65cd1549d84f20909e156a6206d53946bd8c0cd5087c912f8fad7894c2409cc',
     'symmetric P3 universal(6,2) c=99/100': '41eb68ad67b099e704bd46952e695a878bc52648af903da7df7ad6e44b705e70',
