@@ -9,6 +9,7 @@ both file formats are 1-based.  Constraint weights are uniform 1/m.
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -88,6 +89,25 @@ def _constraint_satisfied(inst: Instance, c: Constraint, x: int) -> bool:
 def _satisfied_count(inst: Instance, x: int) -> int:
     """The number of constraints satisfied at assignment bitmask x."""
     return sum(1 for c in inst.constraints if _constraint_satisfied(inst, c, x))
+
+
+def satisfied_counts(inst: Instance) -> list[int]:
+    """sat(x), the number of constraints satisfied at x, for every
+    assignment bitmask x.  Per constraint, the table of its argument index
+    at every x is built by doubling over the variables, as BoolFn.character
+    builds a character: the upper half of each step repeats the lower half,
+    with the argument's bit set when the variable is one of the
+    constraint's."""
+    counts = [0] * (1 << inst.n)
+    for c in inst.constraints:
+        bit_of = {v: 1 << j for j, v in enumerate(c.vars)}
+        args = [0]
+        for v in range(1, inst.n + 1):
+            bit = bit_of.get(v)
+            args += [a | bit for a in args] if bit else args
+        table = inst.predicates[c.predicate_id].table
+        counts = list(map(operator.add, counts, map(table.__getitem__, args)))
+    return counts
 
 
 def evaluate(inst: Instance, x: int) -> Fraction:

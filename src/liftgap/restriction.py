@@ -24,13 +24,17 @@ permutations.  The closure check moves each slack's few nonzero integer
 spectrum entries, which a permutation moves by the bit map it induces on
 masks, instead of whole tables, and it moves them under the two
 generators of S_n only: the verdict still holds for all n!
-permutations.  A decomposition that is feasible below the level-d
-value through a slack whose restriction is no small junta is a failed
-hypothesis, not a bug.
+permutations.  The same moved keys map the slacks under automorphisms
+of the dummy-extended instance, so the decomposition is solved in orbit
+space, one variable per orbit of slack tables and one row per orbit of
+assignments, and its lift is verified on the full 2^n-row system.  A
+decomposition that is feasible below the level-d value through a slack
+whose restriction is no small junta is a failed hypothesis, not a bug.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import logging
 import math
@@ -43,14 +47,18 @@ from typing import AbstractSet, Sequence
 from .boolfn import (BoolFn, Density, chang_junta, fourier_transform,
                      integer_spectrum, junta_support, mask_of, vars_of)
 from .caps import caps
-from .csp import Instance, dummy_extend, plant
+from .csp import Instance, dummy_extend, plant, satisfied_counts
 from .errors import (ExhaustedError, HypothesisError, InputError,
                      InternalError, ParameterError, SizeCapError)
+from .lp import (INFEASIBLE, OPTIMAL, LinearProgram, LPSolution, _checked,
+                 farkas_feasibility)
 from .rationals import (QuarticThreshold, gamma_below_abs, json_value,
                         upper_approx)
-from .sa import pe_apply, pe_plant, sa_value, sa_variable_masks
-from .slack import (PolyhedralRelaxation, farkas_decompose, lp_value,
-                    slack_functions, verify_decomposition)
+from .sa import (_check_level, pe_apply, pe_plant, sa_value,
+                 sa_variable_masks)
+from .slack import (FarkasDecomposition, PolyhedralRelaxation,
+                    _decomposition_rows, _equality_rows, farkas_decompose,
+                    lp_value, slack_functions, verify_decomposition)
 
 log = logging.getLogger(__name__)
 
@@ -78,8 +86,7 @@ def restriction_gamma(n: int, m: int, d: int, t: int) -> QuarticThreshold:
 
 def smoothness_exponent(n: int, d: int) -> int:
     """Smallest integer t with 2^t >= n^d."""
-    if d < 0:
-        raise ParameterError(f"need d >= 0, got d={d}")
+    _check_level(d)
     nd = n ** d
     t = (nd - 1).bit_length()
     return t
@@ -261,6 +268,7 @@ def main_inequality_experiment(rel: PolyhedralRelaxation, inst0: Instance,
     irrational expression (root terms over-approximated by the smallest
     rational of denominator <= 10^6 above them)."""
     n, m = rel.n, inst0.n
+    _check_level(d)
     if inst0.max_arity() > d:
         raise HypothesisError(f"arity {inst0.max_arity()} exceeds d = {d}")
     if not 3 <= m <= n / 4:
@@ -418,53 +426,190 @@ class SymmetricCheckReport:
     consistent: bool               # true on every report returned
 
 
+def _bit_map(targets: Sequence[int]) -> list[int]:
+    """moved[x] for every bitmask x over len(targets) bits: bit i of x set
+    moves to bit targets[i].  Built by doubling, one bit at a time."""
+    moved = [0]
+    for t in targets:
+        bit = 1 << t
+        moved += [y | bit for y in moved]
+    return moved
+
+
+class _SpectralKeys:
+    """The distinct tables of a slack family, numbered in order of first
+    appearance, each keyed by its den and its nonzero integer spectrum
+    over den << n (the cached one, rescaled), which determine the table.
+
+    The image of q under a permutation of the n variables reads q at the
+    bit-permuted position, so its Walsh-Hadamard spectrum is q's moved by
+    the map the permutation induces on masks: images maps a permutation to
+    the family's index map through the moved keys."""
+
+    def __init__(self, slacks: Sequence[BoolFn], n: int):
+        self.first: list[int] = []     # per distinct table, its first slack
+        self._entries = []
+        self._index: dict[tuple[int, frozenset[int]], int] = {}
+        for i, q in enumerate(slacks):
+            spectrum, scale = integer_spectrum(q)
+            # brought over den << n, where each entry is the butterfly's
+            # integer (so div divides it), then stored as one int: the
+            # numerator shifted above the mask bits
+            div = scale // (q.den << n)
+            masks = [a for a, _ in spectrum]
+            vals = [s // div << n for _, s in spectrum]
+            k = self._index.setdefault(
+                (q.den, frozenset(map(operator.or_, vals, masks))),
+                len(self.first))
+            if k == len(self.first):
+                self.first.append(i)
+                self._entries.append((q.den, masks, vals))
+
+    def images(self, targets: Sequence[int]) -> list[int] | None:
+        """The index of each distinct table's image under the permutation
+        moving variable i + 1 to targets[i] + 1, or None when an image is
+        not in the family."""
+        moved = _bit_map(targets).__getitem__
+        out = []
+        for den, masks, vals in self._entries:
+            k = self._index.get(
+                (den, frozenset(map(operator.or_, vals, map(moved, masks)))))
+            if k is None:
+                return None
+            out.append(k)
+        return out
+
+
+def _orbits(maps: Sequence[Sequence[int]], size: int) -> list[list[int]]:
+    """The orbits of 0 .. size - 1 under the group generated by the maps
+    (each a permutation given as a list), ordered by their least element,
+    which each orbit lists first."""
+    seen = [False] * size
+    orbits = []
+    for x in range(size):
+        if seen[x]:
+            continue
+        seen[x] = True
+        members = [x]
+        for y in members:       # grows while it is read
+            for moved in maps:
+                z = moved[y]
+                if not seen[z]:
+                    seen[z] = True
+                    members.append(z)
+        orbits.append(members)
+    return orbits
+
+
 def verify_symmetry_closure(slacks: Sequence[BoolFn], n: int) -> tuple[int, bool]:
     """Closure of the slack family under all n! coordinate permutations,
     checked on the two generators of S_n (the n-cycle and a
     transposition).  Returns the count the report gives (n! for n <= 6,
     otherwise the two generators) and the verdict.
 
-    The image of q under a permutation reads q at the bit-permuted
-    position, so its Walsh-Hadamard spectrum is q's moved by the map the
-    permutation induces on masks.  Each distinct slack is keyed once by
-    den and its nonzero integer spectrum over den << n (the cached one,
-    rescaled), which determine its table; the image is in the family
-    exactly when its moved key is.  A permutation is injective on keys,
-    so one that maps the finite family into itself permutes it; two that
-    generate S_n then make the family closed under every permutation.
-    Every slack is checked under both generators."""
+    Each distinct slack is moved through its spectral key (_SpectralKeys);
+    the image is in the family exactly when its moved key is.  A
+    permutation is injective on keys, so one that maps the finite family
+    into itself permutes it; two that generate S_n then make the family
+    closed under every permutation.  Every slack is checked under both
+    generators."""
     for i, q in enumerate(slacks):
         if q.n != n:
             raise InputError(f"slack {i} lives on {q.n} vars, expected {n}")
     count = math.factorial(n) if n <= 6 else 2
     if n <= 1:
         return count, True     # S_n is trivial
+    keys = _SpectralKeys(slacks, n)
+    return count, all(keys.images(targets) is not None for targets in (
+        (*range(1, n), 0), (1, 0, *range(2, n))))
+
+
+def _decomposition_generators(inst0: Instance) -> list[tuple[int, ...]]:
+    """Generators of a group of automorphisms of the dummy-extended
+    instance, as bit permutations of its 2m variables: each transposition
+    of inst0's m variables that leaves inst0's satisfied-count table
+    unchanged, and the m-cycle and one transposition of the dummy block,
+    which no constraint reads."""
+    m = inst0.n
+    sat = satisfied_counts(inst0)
     generators = []
-    for targets in ((*range(1, n), 0), (1, 0, *range(2, n))):
-        # moved[x]: bit i of x set moves to bit targets[i]
-        moved = [0]
-        for t in targets:
-            bit = 1 << t
-            moved += [y | bit for y in moved]
-        generators.append(moved.__getitem__)
-    entries = []
-    for q in set(slacks):
-        spectrum, scale = integer_spectrum(q)
-        # brought over den << n, where each entry is the butterfly's integer
-        # (so div divides it), then stored as one int: the numerator
-        # shifted above the mask bits
-        div = scale // (q.den << n)
-        masks = [a for a, _ in spectrum]
-        vals = [s // div << n for _, s in spectrum]
-        entries.append((q.den, masks, vals))
-    keys = {(den, frozenset(map(operator.or_, vals, masks)))
-            for den, masks, vals in entries}
-    for den, masks, vals in entries:
-        for moved in generators:
-            if (den, frozenset(map(operator.or_, vals, map(moved, masks)))) \
-                    not in keys:
-                return count, False
-    return count, True
+    for i, j in itertools.combinations(range(m), 2):
+        targets = list(range(2 * m))
+        targets[i], targets[j] = j, i
+        if list(map(sat.__getitem__, _bit_map(targets[:m]))) == sat:
+            generators.append(tuple(targets))
+    if m >= 2:
+        generators.append((*range(m), *range(m + 1, 2 * m), m))
+        generators.append((*range(m), m + 1, m, *range(m + 2, 2 * m)))
+    return generators
+
+
+def _orbit_decomposition(c: Fraction, inst0: Instance,
+                         rel: PolyhedralRelaxation) -> FarkasDecomposition:
+    """farkas_decompose(c, dummy_extend(inst0), rel) for a relaxation whose
+    slack family is closed under permutations of its variables, solved in
+    orbit space and verified in full space (Boedi, Herr & Joswig 2013;
+    Margot 2010).
+
+    A group G of automorphisms of the instance (_decomposition_generators)
+    permutes the slack family's distinct tables, so averaging a solution
+    over G gives one that is constant on each class (a G-orbit of distinct
+    tables) and satisfies every row once it satisfies one row per G-orbit
+    of assignments.  The reduced system has a variable per class, whose
+    coefficient is the class's sum as integers over the lcm of its dens,
+    and one row per orbit of assignments, taken at its least element.
+    A solution lifts with each class's value on the first slack of each of
+    its tables (later copies of a table get 0); a certificate lifts with
+    y_x = y_R / |R| on every x of orbit R.  Either lift is checked by the
+    unchanged verifier on the full 2^n-row system of farkas_decompose."""
+    n = rel.n
+    if n > caps().farkas_n:
+        raise SizeCapError(f"n = {n} exceeds decomposition cap")
+    extended = dummy_extend(inst0)
+    slacks = slack_functions(rel)
+    keys = _SpectralKeys(slacks, n)
+    generators = _decomposition_generators(inst0)
+    images = [keys.images(targets) for targets in generators]
+    if None in images:
+        raise InternalError("a generator maps a slack out of the family")
+    classes = _orbits(images, len(keys.first))
+    orbits = _orbits([_bit_map(t) for t in generators], 1 << n)
+    reps = [orbit[0] for orbit in orbits]
+    tables = []
+    for cls in classes:
+        fns = [slacks[keys.first[k]] for k in cls]
+        den = math.lcm(*(q.den for q in fns))
+        total = [0] * len(reps)
+        for q in fns:
+            f, nums = den // q.den, q.nums
+            total = [t + f * nums[x] for t, x in zip(total, reps)]
+        tables.append((total, den))
+    sol = farkas_feasibility(1 + len(classes),
+                             _equality_rows(c, extended, tables, reps))
+
+    width = 1 + len(slacks)
+    full = LinearProgram(width, tuple(_decomposition_rows(c, extended,
+                                                          slacks, n)),
+                         (_ZERO,) * width)
+    everything = frozenset(range(width))
+    if sol.status == OPTIMAL:
+        lam = [_ZERO] * len(slacks)
+        for z, cls in zip(sol.point[1:], classes):
+            for k in cls:
+                lam[keys.first[k]] = z
+        lifted = LPSolution(OPTIMAL, value=_ZERO, point=(sol.point[0], *lam),
+                            dual_certificate=(_ZERO,) * len(full.constraints))
+        _checked(full, lifted, everything)
+        return FarkasDecomposition(feasible=True, lam0=sol.point[0],
+                                   lam=tuple(lam))
+    y = [_ZERO] * (1 << n)
+    for y_r, orbit in zip(sol.dual_certificate, orbits):
+        share = y_r / len(orbit)
+        for x in orbit:
+            y[x] = share
+    _checked(full, LPSolution(INFEASIBLE, dual_certificate=tuple(y)),
+             everything)
+    return FarkasDecomposition(feasible=False, certificate=tuple(y))
 
 
 def symmetric_contradiction_check(inst0: Instance, rel: PolyhedralRelaxation,
@@ -480,7 +625,14 @@ def symmetric_contradiction_check(inst0: Instance, rel: PolyhedralRelaxation,
     small junta is a HypothesisError; through small juntas only, a bug.
     Every other outcome is consistent: the argument rules out only a
     feasible decomposition below the value, and above it the relaxation
-    may be weaker than level d, so its decomposition may be infeasible."""
+    may be weaker than level d, so its decomposition may be infeasible.
+
+    The decomposition is solved in orbit space under automorphisms of the
+    extended instance and verified in full space (_orbit_decomposition);
+    the report carries only its verdict.  A decomposition feasible below
+    the value is solved again in full space by farkas_decompose, so that
+    the HypothesisError names a slack and multiplier of its vertex."""
+    _check_level(d)
     c = Fraction(c)
     n = rel.n
     if n != 2 * inst0.n:
@@ -491,10 +643,11 @@ def symmetric_contradiction_check(inst0: Instance, rel: PolyhedralRelaxation,
     if not closure_ok:
         raise HypothesisError("slack family is not closed under permutations")
 
-    extended = dummy_extend(inst0)
-    decomposition = farkas_decompose(c, extended, rel)
+    decomposition = _orbit_decomposition(c, inst0, rel)
     sa_base, pe = sa_value(inst0, d)
     c_minus_sa = c - sa_base
+    if decomposition.feasible and c_minus_sa < 0:
+        decomposition = farkas_decompose(c, dummy_extend(inst0), rel)
 
     records: list[SlackAntidiagonal] = []
     identity_checked = False

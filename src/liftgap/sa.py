@@ -114,6 +114,12 @@ def sa_variable_masks(n: int, d: int) -> tuple[int, ...]:
     return tuple(m for m in _subsets_upto(n, d) if m)
 
 
+def _check_level(d: int) -> None:
+    """A level is nonnegative; checked before any hypothesis on d."""
+    if d < 0:
+        raise ParameterError(f"need d >= 0, got d={d}")
+
+
 def build_sa_lp(n: int, d: int, objective: FourierCoeffs) -> LinearProgram:
     """The level-d LP: one free variable per mask in sa_variable_masks,
     and, for every subset S of size <= d and assignment a to S, the row
@@ -121,6 +127,7 @@ def build_sa_lp(n: int, d: int, objective: FourierCoeffs) -> LinearProgram:
     substituted (the empty S contributes only the vacuous 1 >= 0 and is
     omitted).  The objective drops the constant coefficient; sa_value
     adds it back."""
+    _check_level(d)
     if d > n:
         raise ParameterError(f"level d={d} exceeds n={n}")
     if objective.degree() > d:
@@ -140,6 +147,7 @@ def build_sa_lp(n: int, d: int, objective: FourierCoeffs) -> LinearProgram:
 def sa_value(inst: Instance, d: int) -> tuple[Fraction, PseudoExpectation]:
     """Exact level-d value and an attaining functional.  Levels above n
     coincide with level n.  Requires max predicate arity <= d."""
+    _check_level(d)
     k = inst.max_arity()
     if k > d:
         raise HypothesisError(f"predicate arity {k} exceeds level {d}")

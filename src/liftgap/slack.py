@@ -33,8 +33,8 @@ from typing import Callable, Mapping, Sequence
 
 from .boolfn import BoolFn, _cache_spectrum, integer_spectrum, vars_of
 from .caps import caps
-from .csp import (Instance, _satisfied_count, brute_force_opt, evaluate,
-                  instance_polynomial, is_maxcut)
+from .csp import (Instance, brute_force_opt, evaluate, instance_polynomial,
+                  is_maxcut, satisfied_counts)
 from .errors import (CertificationError, InputError, InternalError,
                      SizeCapError, UnboundedError)
 from .lp import (EQUAL, LinearConstraint, LinearProgram, farkas_feasibility,
@@ -313,8 +313,8 @@ def _validate_pairing(rel: PolyhedralRelaxation, inst: Instance,
             col = lanes.unpack(cols[e] + lanes.high)
             totals = [t + w * c for t, c in zip(totals, col)]
     m = len(inst.constraints)
-    for x, total in enumerate(totals):
-        if total * m != _satisfied_count(inst, x) * scale * den:
+    for x, (total, sat) in enumerate(zip(totals, satisfied_counts(inst))):
+        if total * m != sat * scale * den:
             raise InternalError(
                 f"{rel.name}: pairing identity fails at assignment {x}")
 
@@ -404,6 +404,8 @@ def farkas_decompose(c: Fraction, inst: Instance,
     feasibility is equivalent to c >= lp_value."""
     if rel.n > caps().farkas_n:
         raise SizeCapError(f"n = {rel.n} exceeds decomposition cap")
+    if inst.n < rel.n:
+        raise InputError(f"instance on {inst.n} vars, relaxation on {rel.n}")
     c = Fraction(c)
     slacks = slack_functions(rel)
     sol = farkas_feasibility(1 + len(slacks),
@@ -420,18 +422,31 @@ def _decomposition_rows(c: Fraction, inst: Instance,
                         n: int) -> list[LinearConstraint]:
     """farkas_decompose's equalities lam0 + sum_i q_i(x) lam_i = c - inst(x),
     one per assignment x of the n variables, as the integer rows
-    linear_program makes of them: entry q_i(x) = nums[x] / den is reduced
-    to lowest terms, and the row is scaled by the lcm of its
-    denominators, the rhs's included.  The tables are read as integers;
-    no entry becomes a Fraction."""
-    width = 1 + len(slacks)
-    tables = [(i, q.nums, q.den) for i, q in enumerate(slacks, 1)]
+    linear_program makes of them (see _equality_rows)."""
+    return _equality_rows(c, inst, [(q.nums, q.den) for q in slacks],
+                          range(1 << n))
+
+
+def _equality_rows(c: Fraction, inst: Instance,
+                   tables: Sequence[tuple[Sequence[int], int]],
+                   points: Sequence[int]) -> list[LinearConstraint]:
+    """The equalities lam0 + sum_i t_i(x) lam_i = c - inst(x), one per
+    assignment x in points, for tables t_i given as (nums, den): the k-th
+    of nums over den is t_i at the k-th point.  Each row is the integer
+    row linear_program makes of it: entry nums[k] / den is reduced to
+    lowest terms, and the row is scaled by the lcm of its denominators,
+    the rhs's included.  The tables are read as integers; no entry
+    becomes a Fraction."""
+    width = 1 + len(tables)
+    columns = [(i, nums, den) for i, (nums, den) in enumerate(tables, 1)]
+    sat = satisfied_counts(inst)
+    m = len(inst.constraints)
     rows = []
-    for x in range(1 << n):
-        rhs = c - evaluate(inst, x)
+    for k, x in enumerate(points):
+        rhs = c - Fraction(sat[x], m)
         entries = []
-        for i, nums, den in tables:
-            v = nums[x]
+        for i, nums, den in columns:
+            v = nums[k]
             if v:
                 g = math.gcd(v, den)
                 entries.append((i, v // g, den // g))

@@ -365,6 +365,22 @@ def test_restrict_negative_parameter_is_parameter_error(capsys, tmp_path,
 
 
 @pytest.mark.parametrize("argv", [
+    ["sa", "TRIANGLE", "--rounds", "-1"],
+    ["symmetric-check", "--inst0", "TRIANGLE", "--c", "1", "--d", "-1"],
+    ["main-ineq", "--relaxation", "metric", "--inst0", "TRIANGLE", "--n",
+     "12", "--d", "-1", "--seed", "1"],
+], ids=["sa", "symmetric-check", "main-ineq"])
+def test_negative_level_is_parameter_error(capsys, triangle_file, argv):
+    # a negative level is refused before any check of arity against it
+    code, out, err = _run(capsys, *[triangle_file if a == "TRIANGLE" else a
+                                    for a in argv])
+    assert code == 1 and out == ""
+    assert "\n" not in err.strip()
+    assert json.loads(err) == {"error": "ParameterError",
+                               "message": "need d >= 0, got d=-1"}
+
+
+@pytest.mark.parametrize("argv", [
     ["slack", "--relaxation", "metric", "--n", "3", "--out", "OUT/slack.csv"],
     ["gen", "cycle", "--n", "5", "--out", "OUT/c5.graph"],
     ["protocol", "--rows", "TRIANGLE", "--c", "7/8", "--s", "3/4", "--T", "2",

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -5,10 +6,11 @@ import pytest
 from liftgap.boolfn import inverse_transform
 from liftgap.errors import InputError, ParseError, SizeCapError
 from liftgap.csp import (CUT_PREDICATE, Constraint, Instance, Predicate,
-                         assignment_to_signs, brute_force_opt,
-                         complete, cycle, dummy_extend, evaluate, graph_instance,
-                         instance_polynomial, parse_dimacs_cnf, parse_edge_list,
-                         plant, random_3sat, random_graph, write_dimacs,
+                         _satisfied_count, assignment_to_signs,
+                         brute_force_opt, complete, cycle, dummy_extend,
+                         evaluate, graph_instance, instance_polynomial,
+                         parse_dimacs_cnf, parse_edge_list, plant, random_3sat,
+                         random_graph, satisfied_counts, write_dimacs,
                          write_edge_list)
 
 F = Fraction
@@ -66,6 +68,31 @@ def test_pairing_identity_exhaustive(inst):
     values = inverse_transform(poly).values
     for x in range(1 << inst.n):
         assert values[x] == evaluate(inst, x)
+
+
+def _mixed_arity(n: int, seed: int) -> Instance:
+    """Random constraints of arity 1 to 4 over random predicates."""
+    rng = random.Random(seed)
+    predicates = tuple(
+        Predicate(k, tuple(rng.random() < 0.5 for _ in range(1 << k)))
+        for k in (1, 2, 3, 4) if k <= n)
+    constraints = []
+    for _ in range(2 * n):
+        p = rng.randrange(len(predicates))
+        constraints.append(Constraint(
+            p, tuple(rng.sample(range(1, n + 1), predicates[p].arity))))
+    return Instance(n, predicates, tuple(constraints))
+
+
+@pytest.mark.parametrize("inst", [
+    cycle(3), complete(5), random_graph(8, F(1, 2), 3),
+    dummy_extend(cycle(4)), random_3sat(3, 5, 1), random_3sat(8, 30, 2),
+    _mixed_arity(1, 0), _mixed_arity(4, 1), _mixed_arity(8, 2),
+], ids=["C3", "K5", "G(8,1/2)", "C4+dummies", "3sat(3,5)", "3sat(8,30)",
+        "mixed(1)", "mixed(4)", "mixed(8)"])
+def test_satisfied_counts_match_per_assignment_count(inst):
+    assert satisfied_counts(inst) == [
+        _satisfied_count(inst, x) for x in range(1 << inst.n)]
 
 
 def test_plant_examples():

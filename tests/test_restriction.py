@@ -9,9 +9,10 @@ import pytest
 from liftgap.boolfn import (BoolFn, Density, FourierCoeffs,
                             fourier_transform, inverse_transform,
                             junta_support, mask_of)
-from liftgap.csp import cycle
+from liftgap.csp import cycle, dummy_extend, graph_instance, random_3sat
 from liftgap.errors import (ExhaustedError, HypothesisError, InputError,
-                            InternalError, ParameterError, SizeCapError)
+                            InternalError, LiftgapError, ParameterError,
+                            SizeCapError)
 from liftgap.restriction import (antidiagonal_restriction, check_restriction,
                                  detect_symmetric_structure, epsilon_formula,
                                  find_good_restriction,
@@ -24,7 +25,8 @@ from liftgap.restriction import (antidiagonal_restriction, check_restriction,
                                  verify_symmetry_closure)
 from liftgap.rationals import QuarticThreshold
 from liftgap.sa import pe_apply, sa_value
-from liftgap.slack import metric_maxcut, slack_functions, universal
+from liftgap.slack import (PolyhedralRelaxation, farkas_decompose,
+                           metric_maxcut, slack_functions, universal)
 
 F = Fraction
 
@@ -360,6 +362,124 @@ def test_symmetric_check_small_junta_inconsistency_is_internal(monkeypatch):
     monkeypatch.setattr(restriction_module, "sa_value", raised_value)
     with pytest.raises(InternalError, match="inconsistent"):
         symmetric_contradiction_check(cycle(3), universal(6, 2), F(1), 2)
+
+
+_ORBIT_INSTANCES = {
+    "C3": (cycle(3), 2),
+    "P3": (graph_instance(3, [(1, 2), (2, 3)]), 2),
+    "C4": (cycle(4), 2),
+    "edge": (graph_instance(2, [(1, 2)]), 2),
+    "3sat(3,5;1)": (random_3sat(3, 5, 1), 3),
+}
+def _with_repeated_row(rel, label: str):
+    """rel with its row of that label listed a second time, at the end:
+    one table of the family then has two slacks and its images have one
+    each."""
+    i = rel.labels.index(label)
+    return PolyhedralRelaxation(
+        f"{rel.name}+{label}", rel.n, rel.dim,
+        rel.inequalities + (rel.inequalities[i],),
+        rel.labels + (label,), rel.coordinate, rel.instance_embed)
+
+
+_ORBIT_RELAXATIONS = {
+    "universal:2": lambda n: universal(n, 2),
+    "universal:3": lambda n: universal(n, 3),
+    "metric": metric_maxcut,
+    # the indicator of x_1 = x_2 = +1, which the decompositions of C3, P3
+    # and the edge at c = 1 use
+    "universal:2+repeated row": lambda n: _with_repeated_row(
+        universal(n, 2), "ind(S=3,a=0)"),
+}
+
+
+def _symmetric_outcome(inst, relaxation: str, c, d):
+    """The report of a symmetric check on a fresh relaxation, or the type
+    and message of the error it raised."""
+    rel = _ORBIT_RELAXATIONS[relaxation](2 * inst.n)
+    try:
+        return symmetric_contradiction_check(inst, rel, c, d)
+    except LiftgapError as exc:
+        return type(exc), str(exc)
+
+
+def _full_space_outcome(monkeypatch, inst, relaxation: str, c, d):
+    """_symmetric_outcome with the decomposition solved by farkas_decompose
+    on the full 2^n-row system."""
+    import liftgap.restriction as restriction_module
+    with monkeypatch.context() as patch:
+        patch.setattr(restriction_module, "_orbit_decomposition",
+                      lambda c, inst0, rel: farkas_decompose(
+                          c, dummy_extend(inst0), rel))
+        return _symmetric_outcome(inst, relaxation, c, d)
+
+
+@pytest.mark.parametrize("relaxation", sorted(_ORBIT_RELAXATIONS))
+@pytest.mark.parametrize("name", sorted(_ORBIT_INSTANCES))
+def test_orbit_decomposition_matches_full_space_route(monkeypatch, name,
+                                                      relaxation):
+    inst, d = _ORBIT_INSTANCES[name]
+    value = sa_value(inst, d)[0]
+    cs = [value - F(1, 100), value, value + F(1, 100)]
+    if (name, relaxation) == ("C4", "universal:3"):
+        # the full-space route takes minutes at and below the value
+        cs = cs[2:]
+    for c in cs:
+        outcome = _symmetric_outcome(inst, relaxation, c, d)
+        assert outcome == _full_space_outcome(monkeypatch, inst, relaxation,
+                                              c, d), c
+
+
+@pytest.mark.parametrize("relaxation", ["metric", "universal:3"])
+def test_orbit_decomposition_keeps_hypothesis_error_message(monkeypatch,
+                                                            relaxation):
+    # the raising path solves the full system again, so the message names
+    # the slack and multiplier of farkas_decompose's vertex
+    outcome = _symmetric_outcome(cycle(3), relaxation, F(99, 100), 2)
+    assert outcome[0] is HypothesisError
+    assert outcome == _full_space_outcome(monkeypatch, cycle(3), relaxation,
+                                          F(99, 100), 2)
+
+
+@pytest.mark.parametrize("name", ["P3", "3sat(3,5;1)"])
+def test_non_automorphism_generator_fails_full_space_check(monkeypatch, name):
+    # every transposition of the instance's variables is offered as a
+    # generator, though none of these instances is fixed by all of them;
+    # the lifted result then fails the full-space verifier
+    import liftgap.restriction as restriction_module
+    generators = restriction_module._decomposition_generators
+
+    def all_transpositions(inst0):
+        m = inst0.n
+        out = []
+        for i, j in itertools.combinations(range(m), 2):
+            targets = list(range(2 * m))
+            targets[i], targets[j] = j, i
+            out.append(tuple(targets))
+        return out + generators(inst0)
+
+    monkeypatch.setattr(restriction_module, "_decomposition_generators",
+                        all_transpositions)
+    inst, d = _ORBIT_INSTANCES[name]
+    rel = universal(2 * inst.n, d)
+    for c in (F(99, 100), F(1), F(101, 100)):
+        with pytest.raises(InternalError,
+                           match="violates constraint|certificate"):
+            symmetric_contradiction_check(inst, rel, c, d)
+
+
+def test_orbit_decomposition_refuses_a_family_its_group_does_not_map():
+    # without the indicator of x_4 = x_5 = +1 the family is not closed
+    # under the dummy block's permutations, which move it to x_4 = x_6 = +1
+    import liftgap.restriction as restriction_module
+    rel = universal(6, 2)
+    keep = [i for i, label in enumerate(rel.labels) if label != "ind(S=24,a=0)"]
+    assert len(keep) == len(rel.labels) - 1
+    cut = PolyhedralRelaxation(
+        "cut", 6, rel.dim, [rel.inequalities[i] for i in keep],
+        [rel.labels[i] for i in keep], rel.coordinate, rel.instance_embed)
+    with pytest.raises(InternalError, match="out of the family"):
+        restriction_module._orbit_decomposition(F(1), cycle(3), cut)
 
 
 def _position_index(perm) -> list[int]:
